@@ -166,23 +166,6 @@ func WithBatchWorkers(n int) AnalyzerOption {
 	}
 }
 
-// WithAnalysisWorkers bounds the worker group a single analysis fans
-// its independent per-core RTA verdicts out over (the Eq. 1 screen of
-// period selection and the admission engine's memoized per-core
-// check). The default 1 runs those screens serially — byte-identical
-// legacy behaviour; any n yields bit-identical reports by the same
-// ordered-merge argument as the sweep engine, so the option is purely
-// a latency knob for many-core sets on otherwise idle machines.
-func WithAnalysisWorkers(n int) AnalyzerOption {
-	return func(a *Analyzer) error {
-		if n < 0 {
-			return fmt.Errorf("analysis workers must be >= 0, got %d", n)
-		}
-		a.opts.AnalysisWorkers = n
-		return nil
-	}
-}
-
 // New builds an Analyzer from functional options. The zero
 // configuration runs exactly the paper's pipeline: best-fit
 // partitioning when needed, Algorithm 1 with the dominance carry-in
@@ -335,8 +318,9 @@ func (a *Analyzer) AnalyzeBatch(ctx context.Context, sets []*TaskSet) ([]*Report
 }
 
 // Baseline runs a single comparison scheme on ts (partitioning the RT
-// band first if needed) without the HYDRA-C selection. It backs the
-// deprecated one-shot baseline functions and spot checks.
+// band first if needed) without the HYDRA-C selection: the CLI's
+// -scheme runs and spot checks. BaselineVerdict.ApplyTo turns a
+// schedulable verdict into a configured set for Simulate.
 func (a *Analyzer) Baseline(ctx context.Context, ts *TaskSet, scheme Scheme) (*BaselineVerdict, error) {
 	if _, err := ParseScheme(string(scheme)); err != nil {
 		return nil, err

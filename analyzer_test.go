@@ -370,21 +370,3 @@ func TestBaselineVerdictAppliesOnUnassignedSet(t *testing.T) {
 		t.Fatal("applied baseline configuration misses RT deadlines")
 	}
 }
-
-func TestDeprecatedWrappersStillAgree(t *testing.T) {
-	ts := analyzerTaskSet()
-	res, err := hydrac.SelectPeriods(ts, hydrac.Options{})
-	if err != nil || !res.Schedulable {
-		t.Fatalf("SelectPeriods: %v", err)
-	}
-	a, _ := hydrac.New()
-	rep, err := a.Analyze(context.Background(), ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range rep.Tasks {
-		if res.Periods[i] != v.Period || res.Resp[i] != v.WCRT {
-			t.Fatalf("wrapper and Analyzer disagree at %d: %v vs %+v", i, res.Periods[i], v)
-		}
-	}
-}

@@ -28,9 +28,9 @@
 //
 // AnalyzeBatch fans a bulk admission check out over all cores with
 // deterministic results; cmd/hydrad serves the same pipeline over
-// HTTP (POST /v1/analyze). The one-shot functions below (SelectPeriods,
-// Hydra, Simulate, …) predate the Analyzer and remain as thin
-// deprecated wrappers.
+// HTTP (POST /v1/analyze). Analyzer.Baseline runs one comparison
+// scheme alone; Report.ApplyTo and BaselineVerdict.ApplyTo write a
+// verdict's periods into a set for Simulate, the door to full traces.
 //
 // Implementation packages:
 //
@@ -56,7 +56,6 @@ import (
 	"context"
 	"io"
 
-	"hydrac/internal/baseline"
 	"hydrac/internal/core"
 	"hydrac/internal/partition"
 	"hydrac/internal/sim"
@@ -87,128 +86,9 @@ func DecodeTaskSet(r io.Reader) (*TaskSet, error) { return task.Decode(r) }
 // DecodeTaskSet reads.
 func EncodeTaskSet(w io.Writer, ts *TaskSet) error { return task.Encode(w, ts) }
 
-// Period selection (the paper's primary contribution).
-type (
-	// Options tunes Algorithm 1; the zero value is the paper's
-	// configuration.
-	Options = core.Options
-	// Result carries the selected periods and response times.
-	//
-	// Deprecated: new code should read the richer Report returned by
-	// Analyzer.Analyze.
-	Result = core.Result
-)
-
-// SelectPeriods runs Algorithm 1: minimum feasible periods for the
-// security tasks of ts under semi-partitioned scheduling. Unlike the
-// original one-shot function it accepts unpartitioned RT tasks and
-// places them best-fit first.
-//
-// Deprecated: build an Analyzer once and call Analyze; it adds
-// context cancellation, caching, baselines and batching.
-func SelectPeriods(ts *TaskSet, opt Options) (*Result, error) {
-	a, err := New(WithOptions(opt))
-	if err != nil {
-		return nil, err
-	}
-	rep, err := a.Analyze(context.Background(), ts)
-	if err != nil {
-		return nil, err
-	}
-	return rep.toResult(), nil
-}
-
-// toResult converts a report back to the legacy Result shape.
-func (r *Report) toResult() *Result {
-	if !r.Schedulable {
-		return &Result{}
-	}
-	res := &Result{
-		Schedulable: true,
-		Periods:     make([]Time, len(r.Tasks)),
-		Resp:        make([]Time, len(r.Tasks)),
-	}
-	for i, v := range r.Tasks {
-		res.Periods[i], res.Resp[i] = v.Period, v.WCRT
-	}
-	return res
-}
-
-// Apply writes selected periods into a clone of ts.
-//
-// Deprecated: use Report.ApplyTo.
-func Apply(ts *TaskSet, res *Result) *TaskSet { return core.Apply(ts, res) }
-
-// Baseline schemes of the paper's evaluation.
-type PartitionedResult = baseline.PartitionedResult
-
-// Hydra is the DATE 2018 fully partitioned baseline (greedy placement
-// with per-core period optimisation).
-//
-// Deprecated: use Analyzer.Baseline(ctx, ts, SchemeHydra), or
-// WithBaselines to attach the verdict to every report.
-func Hydra(ts *TaskSet) (*PartitionedResult, error) {
-	return legacyPartitioned(ts, SchemeHydra)
-}
-
-// HydraAggressive pins each period to its WCRT on placement — the
-// paper's verbatim description of HYDRA's greedy.
-//
-// Deprecated: use Analyzer.Baseline with SchemeHydraAggressive.
-func HydraAggressive(ts *TaskSet) (*PartitionedResult, error) {
-	return legacyPartitioned(ts, SchemeHydraAggressive)
-}
-
-// HydraTMax keeps the partitioned placement with periods at Tmax.
-//
-// Deprecated: use Analyzer.Baseline with SchemeHydraTMax.
-func HydraTMax(ts *TaskSet) (*PartitionedResult, error) {
-	return legacyPartitioned(ts, SchemeHydraTMax)
-}
-
-func legacyPartitioned(ts *TaskSet, scheme Scheme) (*PartitionedResult, error) {
-	a, err := New()
-	if err != nil {
-		return nil, err
-	}
-	v, err := a.Baseline(context.Background(), ts, scheme)
-	if err != nil {
-		return nil, err
-	}
-	res := &PartitionedResult{Schedulable: v.Schedulable}
-	for _, t := range v.Tasks {
-		res.Periods = append(res.Periods, t.Period)
-		res.Resp = append(res.Resp, t.WCRT)
-		res.Cores = append(res.Cores, t.Core)
-	}
-	return res, nil
-}
-
-// GlobalResult carries GLOBAL-TMax response times.
-type GlobalResult = baseline.GlobalResult
-
-// GlobalTMax checks global fixed-priority schedulability with periods
-// at Tmax.
-//
-// Deprecated: use Analyzer.Baseline with SchemeGlobalTMax.
-func GlobalTMax(ts *TaskSet) (*GlobalResult, error) {
-	a, err := New()
-	if err != nil {
-		return nil, err
-	}
-	v, err := a.Baseline(context.Background(), ts, SchemeGlobalTMax)
-	if err != nil {
-		return nil, err
-	}
-	res := &GlobalResult{Schedulable: v.Schedulable}
-	for _, t := range v.RT {
-		res.RTResp = append(res.RTResp, t.WCRT)
-	}
-	for _, t := range v.Tasks {
-		res.SecResp = append(res.SecResp, t.WCRT)
-	}
-	return res, nil
-}
+// Options tunes Algorithm 1; the zero value is the paper's
+// configuration.
+type Options = core.Options
 
 // RT task partitioning.
 type PartitionHeuristic = partition.Heuristic
@@ -220,12 +100,6 @@ const (
 	WorstFit = partition.WorstFit
 	NextFit  = partition.NextFit
 )
-
-// Partition assigns the RT tasks of ts to cores in place.
-//
-// Deprecated: the Analyzer partitions unassigned sets automatically
-// (configure the heuristic with WithHeuristic).
-func Partition(ts *TaskSet, h PartitionHeuristic) error { return partition.Assign(ts, h) }
 
 // Simulation.
 type (

@@ -1,8 +1,9 @@
-// Tests of the public façade: everything a downstream user touches
-// must work through the root package alone.
+// Tests of the public API: everything a downstream user touches must
+// work through the root package alone.
 package hydrac_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -23,21 +24,36 @@ func apiTaskSet() *hydrac.TaskSet {
 	}
 }
 
-func TestPublicAPIEndToEnd(t *testing.T) {
-	ts := apiTaskSet()
-	res, err := hydrac.SelectPeriods(ts, hydrac.Options{})
+// apiAnalyze runs the default pipeline on ts and insists on admission.
+func apiAnalyze(t *testing.T, ts *hydrac.TaskSet) *hydrac.Report {
+	t.Helper()
+	a, err := hydrac.New()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Schedulable {
+	rep, err := a.Analyze(context.Background(), ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Schedulable {
 		t.Fatal("quickstart set unschedulable")
 	}
+	return rep
+}
+
+func TestPublicAPIEndToEnd(t *testing.T) {
+	ts := apiTaskSet()
+	rep := apiAnalyze(t, ts)
 	for i, s := range ts.Security {
-		if res.Periods[i] <= 0 || res.Periods[i] > s.MaxPeriod {
-			t.Fatalf("%s: period %d out of range", s.Name, res.Periods[i])
+		if p := rep.Tasks[i].Period; p <= 0 || p > s.MaxPeriod {
+			t.Fatalf("%s: period %d out of range", s.Name, p)
 		}
 	}
-	out, err := hydrac.Simulate(hydrac.Apply(ts, res), hydrac.SimConfig{
+	cfgd, err := rep.ApplyTo(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := hydrac.Simulate(cfgd, hydrac.SimConfig{
 		Policy: hydrac.SemiPartitioned, Horizon: 2000, RecordIntervals: true,
 	})
 	if err != nil {
@@ -53,29 +69,29 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 func TestPublicAPIBaselines(t *testing.T) {
 	ts := apiTaskSet()
-	for name, run := range map[string]func(*hydrac.TaskSet) (*hydrac.PartitionedResult, error){
-		"Hydra":           hydrac.Hydra,
-		"HydraAggressive": hydrac.HydraAggressive,
-		"HydraTMax":       hydrac.HydraTMax,
-	} {
-		res, err := run(ts)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !res.Schedulable {
-			t.Fatalf("%s: unschedulable on the quickstart set", name)
-		}
-		for i := range ts.Security {
-			if res.Cores[i] < 0 || res.Cores[i] >= ts.Cores {
-				t.Fatalf("%s: bad core binding %d", name, res.Cores[i])
-			}
-		}
-	}
-	gres, err := hydrac.GlobalTMax(ts)
+	a, err := hydrac.New()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !gres.Schedulable {
+	for _, scheme := range []hydrac.Scheme{hydrac.SchemeHydra, hydrac.SchemeHydraAggressive, hydrac.SchemeHydraTMax} {
+		v, err := a.Baseline(context.Background(), ts, scheme)
+		if err != nil {
+			t.Fatalf("%s: %v", scheme, err)
+		}
+		if !v.Schedulable {
+			t.Fatalf("%s: unschedulable on the quickstart set", scheme)
+		}
+		for _, sv := range v.Tasks {
+			if sv.Core < 0 || sv.Core >= ts.Cores {
+				t.Fatalf("%s: bad core binding %d", scheme, sv.Core)
+			}
+		}
+	}
+	v, err := a.Baseline(context.Background(), ts, hydrac.SchemeGlobalTMax)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !v.Schedulable {
 		t.Fatal("GlobalTMax: unschedulable on the quickstart set")
 	}
 }
@@ -85,31 +101,34 @@ func TestPublicAPIPartition(t *testing.T) {
 	for i := range ts.RT {
 		ts.RT[i].Core = -1
 	}
-	if err := hydrac.Partition(ts, hydrac.BestFit); err != nil {
-		t.Fatal(err)
+	// The Analyzer places the unassigned band, then selects periods.
+	rep := apiAnalyze(t, ts)
+	if len(rep.RT) != len(ts.RT) {
+		t.Fatalf("report places %d RT tasks, want %d", len(rep.RT), len(ts.RT))
 	}
-	for _, rt := range ts.RT {
+	for _, rt := range rep.RT {
 		if rt.Core < 0 {
 			t.Fatalf("task %s unassigned", rt.Name)
 		}
 	}
-	// The repartitioned set must still go through period selection.
-	res, err := hydrac.SelectPeriods(ts, hydrac.Options{})
-	if err != nil || !res.Schedulable {
-		t.Fatalf("post-partition selection failed: %v", err)
+	if _, err := rep.ApplyTo(ts); err != nil {
+		t.Fatalf("placement does not apply: %v", err)
 	}
 }
 
 func TestPublicAPIPolicies(t *testing.T) {
 	ts := apiTaskSet()
-	res, err := hydrac.HydraAggressive(ts)
-	if err != nil || !res.Schedulable {
+	a, err := hydrac.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := a.Baseline(context.Background(), ts, hydrac.SchemeHydraAggressive)
+	if err != nil || !v.Schedulable {
 		t.Fatal("baseline failed")
 	}
-	cfgd := ts.Clone()
-	for i := range cfgd.Security {
-		cfgd.Security[i].Period = res.Periods[i]
-		cfgd.Security[i].Core = res.Cores[i]
+	cfgd, err := v.ApplyTo(ts)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, pol := range []hydrac.Policy{hydrac.SemiPartitioned, hydrac.FullyPartitioned, hydrac.Global} {
 		out, err := hydrac.Simulate(cfgd, hydrac.SimConfig{Policy: pol, Horizon: 2000})

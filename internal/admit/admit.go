@@ -304,72 +304,26 @@ func (e *Engine) analyse(ctx context.Context, cand *task.Set, rtIdentical bool) 
 	if err != nil {
 		return nil, err
 	}
-	stats.Selection = *rstats
+	stats.Selection = rstats
 	return &Outcome{Set: cand.Clone(), Result: res, Stats: stats}, nil
 }
 
-// rtScreen is the memoized per-core Eq. 1 check. With
-// cfg.Opts.AnalysisWorkers > 1 the uncached cores' verdicts are
-// computed by a bounded worker group and merged in core order —
-// bit-identical to the serial screen on the success path (the
-// conjunction is order-independent), and the error still names the
-// lowest unschedulable core. The serial default keeps the legacy
-// shape exactly, including its short-circuit at the first
-// unschedulable core; the parallel form evaluates (and memoizes)
-// every uncached core instead, which changes only which verdicts are
-// warm in the cache, never an analysis result.
+// rtScreen is the memoized per-core Eq. 1 check. It stops at the
+// first unschedulable core, whose index the error names.
 func (e *Engine) rtScreen(cand *task.Set, stats *Stats) error {
-	rtUnschedulable := func(m int) error {
-		return fmt.Errorf("RT band is not schedulable under Eq. 1 (core %d); HYDRA-C requires a feasible legacy system", m)
-	}
-	if workers := e.cfg.Opts.AnalysisWorkers; workers <= 1 || cand.Cores <= 1 {
-		for m := 0; m < cand.Cores; m++ {
-			tasks := cand.RTOnCore(m)
-			key := task.CoreHash(tasks)
-			sched, ok := e.coreCache.Get(key)
-			if !ok {
-				sched = rta.CoreSchedulable(tasks)
-				e.coreCache.Add(key, sched)
-				stats.CoresChecked++
-			} else {
-				stats.CoresFromCache++
-			}
-			if !sched {
-				return rtUnschedulable(m)
-			}
-		}
-		return nil
-	}
-
-	type coreCheck struct {
-		m     int
-		tasks []task.RTTask
-		key   string
-		sched bool
-	}
-	var missing []coreCheck
-	verdicts := make([]bool, cand.Cores)
 	for m := 0; m < cand.Cores; m++ {
 		tasks := cand.RTOnCore(m)
 		key := task.CoreHash(tasks)
-		if sched, ok := e.coreCache.Get(key); ok {
+		sched, ok := e.coreCache.Get(key)
+		if !ok {
+			sched = rta.CoreSchedulable(tasks)
+			e.coreCache.Add(key, sched)
+			stats.CoresChecked++
+		} else {
 			stats.CoresFromCache++
-			verdicts[m] = sched
-			continue
 		}
-		stats.CoresChecked++
-		missing = append(missing, coreCheck{m: m, tasks: tasks, key: key})
-	}
-	rta.ParallelFor(len(missing), e.cfg.Opts.AnalysisWorkers, func(i int) {
-		missing[i].sched = rta.CoreSchedulable(missing[i].tasks)
-	})
-	for i := range missing {
-		e.coreCache.Add(missing[i].key, missing[i].sched)
-		verdicts[missing[i].m] = missing[i].sched
-	}
-	for m, sched := range verdicts {
 		if !sched {
-			return rtUnschedulable(m)
+			return fmt.Errorf("RT band is not schedulable under Eq. 1 (core %d); HYDRA-C requires a feasible legacy system", m)
 		}
 	}
 	return nil

@@ -2,10 +2,8 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
-	"hydrac/internal/rta"
 	"hydrac/internal/task"
 )
 
@@ -35,22 +33,6 @@ type Options struct {
 	// SkipOptimization pins every period at Tmax after the feasibility
 	// check — the "w/o period optimisation" reference of Fig. 7b.
 	SkipOptimization bool
-	// AnalysisWorkers bounds the worker group the per-core Eq. 1 RTA
-	// screen fans out over: the cores' verdicts are independent, so
-	// they can be computed concurrently and merged in core order.
-	// 0 or 1 runs the screen serially (byte-identical legacy
-	// behaviour); any value yields bit-identical results by the same
-	// ordered-merge argument as the sweep engine.
-	AnalysisWorkers int
-}
-
-// setSchedulable dispatches the Eq. 1 screen serially or across the
-// configured worker group.
-func setSchedulable(ts *task.Set, workers int) bool {
-	if workers <= 1 {
-		return rta.SetSchedulable(ts)
-	}
-	return rta.SetSchedulableWorkers(ts, workers)
 }
 
 // SelectPeriods is Algorithm 1: given a task set whose RT tasks are
@@ -84,98 +66,11 @@ func SelectPeriodsCtx(ctx context.Context, ts *task.Set, opt Options) (*Result, 
 // steady-state allocations for callers that keep one workspace per
 // worker (AnalyzeBatch, the sweep engine, the baselines). The scratch
 // must not be shared across goroutines while the call runs, and the
-// returned Result never aliases its buffers.
+// returned Result never aliases its buffers. It is the hint-free run
+// of the one Algorithm 1 loop, SelectPeriodsResumableWith.
 func SelectPeriodsCtxWith(ctx context.Context, ts *task.Set, opt Options, sc *Scratch) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := ts.Validate(); err != nil {
-		return nil, err
-	}
-	for _, t := range ts.RT {
-		if t.Core < 0 {
-			return nil, fmt.Errorf("RT task %s is not partitioned; run partition.Assign first", t.Name)
-		}
-	}
-	if !setSchedulable(ts, opt.AnalysisWorkers) {
-		return nil, fmt.Errorf("RT band is not schedulable under Eq. 1; HYDRA-C requires a feasible legacy system")
-	}
-
-	sys := NewSystem(ts)
-	sec := ts.SecurityByPriority()
-	n := len(sec)
-	if n == 0 {
-		return &Result{Schedulable: true, Periods: []task.Time{}, Resp: []task.Time{}}, nil
-	}
-
-	// One scratch serves the whole analysis: every probe below reuses
-	// its buffers, so the search loops run allocation-free.
-	sc.Reset(sys)
-	sc.ensure(n)
-
-	// Line 1: Ts := Tmax for every task, compute response times.
-	periods := sc.periods[:0]
-	for _, s := range sec {
-		periods = append(periods, s.MaxPeriod)
-	}
-	sc.periods = periods
-	resp := sc.responseTimes(sec, periods, opt.CarryIn, sc.resp)
-	sc.resp = resp
-
-	// Lines 2–4: if any task misses even at Tmax, the set is
-	// unschedulable within the designer bounds.
-	for i, s := range sec {
-		if resp[i] > s.MaxPeriod {
-			return &Result{Schedulable: false}, nil
-		}
-	}
-
-	if !opt.SkipOptimization {
-		// Lines 5–9: from highest to lowest priority, shrink each
-		// period as far as every lower-priority task tolerates.
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			lo, hi := resp[i], sec[i].MaxPeriod
-			var star task.Time
-			if opt.LinearSearch {
-				star = linearMinPeriod(ctx, sc, sec, periods, resp, i, lo, hi, opt.CarryIn)
-			} else {
-				star = logMinPeriod(ctx, sc, sec, periods, resp, i, lo, hi, opt.CarryIn)
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			periods[i] = star
-			// Line 8: refresh the WCRT of every lower-priority task
-			// under the newly fixed period. The search's last feasible
-			// probe is exactly the star (the binary search only
-			// shrinks star on feasible probes), so its captured
-			// response vector is that refresh, already computed.
-			if sc.probeFrom == i && sc.probeCand == star {
-				// The captured probe state IS the post-fix state, so the
-				// component caches captured alongside it stay coherent.
-				copy(resp[i+1:], sc.probeResp[i+1:len(sec)])
-				copy(sc.rtAt[i+1:], sc.probeRT[i+1:len(sec)])
-				copy(sc.ncAt[i+1:], sc.probeNC[i+1:len(sec)])
-				copy(sc.ckAt[i+1:], sc.probeCK[i+1:len(sec)])
-			} else {
-				recomputeBelow(sc, sec, periods, resp, i, opt.CarryIn)
-			}
-		}
-	}
-
-	// Report in the original ts.Security order.
-	outPeriods := make([]task.Time, n)
-	outResp := make([]task.Time, n)
-	byName := securityIndex(ts.Security)
-	for i, s := range sec {
-		j := byName[s.Name]
-		outPeriods[j] = periods[i]
-		outResp[j] = resp[i]
-	}
-	return &Result{Schedulable: true, Periods: outPeriods, Resp: outResp}, nil
+	res, _, err := SelectPeriodsResumableWith(ctx, ts, opt, nil, sc)
+	return res, err
 }
 
 // logMinPeriod is Algorithm 2: a logarithmic (binary) search over
@@ -190,7 +85,7 @@ func SelectPeriodsCtxWith(ctx context.Context, ts *task.Set, opt Options, sc *Sc
 // log2(Tmax−Rs). When lo is infeasible the bisection proceeds on
 // [lo+1, hi], which returns the identical star by the monotone-
 // feasibility assumption Algorithm 2 itself rests on (the same
-// argument as the resumable path's two-probe verification, pinned by
+// argument as the two-probe hint verification, pinned by
 // the differential oracle corpus).
 func logMinPeriod(ctx context.Context, sc *Scratch, sec []task.SecurityTask, periods, resp []task.Time, i int, lo, hi task.Time, mode CarryInMode) task.Time {
 	if ctx.Err() != nil {
@@ -295,9 +190,7 @@ func lowerPrioritySchedulable(sc *Scratch, sec []task.SecurityTask, periods, res
 //     interference, and workloadCI is nondecreasing in the
 //     interferer's response time (x̄ = C−1+T−R) — so by induction
 //     down the chain every in-probe response time is ≥ its resp[]
-//     entry. (In the resumable path resp[j] below the probed task
-//     still holds the all-Tmax value — a weaker but equally sound
-//     lower bound.)
+//     entry.
 //  2. Iterating the monotone refinement f(x) = ⌊Ω(x)/M⌋ + Cs from
 //     any x₀ ≤ lfp converges to the SAME least fixed point
 //     (fixpointPrimed). So starting each task's fixpoint at resp[j]

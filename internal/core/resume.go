@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"hydrac/internal/rta"
 	"hydrac/internal/task"
 )
 
@@ -77,16 +78,8 @@ type ResumeStats struct {
 // SelectPeriodsResumable is SelectPeriodsCtx with warm-start hints:
 // identical results, bit for bit, with most of the per-task period
 // searches replaced by two-probe verifications when the hints match.
-//
-// It also reuses the response-time state Algorithm 1 threads through
-// its loop instead of recomputing every lower task after each fix
-// (line 8): a task's final WCRT depends only on the finalized periods
-// and response times ABOVE it, so resp[i] is computed once, right
-// before task i's own search, from the already-final prefix. This is
-// the same least fixed point recomputeBelow arrives at — recomputeBelow
-// just recomputes it (n−i) times more often — and the differential
-// oracle corpus (internal/oracle) pins the equivalence.
-func SelectPeriodsResumable(ctx context.Context, ts *task.Set, opt Options, hints *Hints) (*Result, *ResumeStats, error) {
+// With nil hints it is SelectPeriodsCtx.
+func SelectPeriodsResumable(ctx context.Context, ts *task.Set, opt Options, hints *Hints) (*Result, ResumeStats, error) {
 	sc := DefaultScratchPool.Get(nil, SizeHint(ts))
 	defer DefaultScratchPool.Put(sc)
 	return SelectPeriodsResumableWith(ctx, ts, opt, hints, sc)
@@ -97,24 +90,28 @@ func SelectPeriodsResumable(ctx context.Context, ts *task.Set, opt Options, hint
 // re-primes one workspace per analysis instead of reallocating the
 // kernel buffers on every delta. The scratch must not be shared
 // across goroutines; results are identical to the scratch-free form.
-func SelectPeriodsResumableWith(ctx context.Context, ts *task.Set, opt Options, hints *Hints, sc *Scratch) (*Result, *ResumeStats, error) {
-	stats := &ResumeStats{}
+//
+// This is the one Algorithm 1 loop: SelectPeriods, SelectPeriodsCtx
+// and SelectPeriodsCtxWith run it with nil hints.
+func SelectPeriodsResumableWith(ctx context.Context, ts *task.Set, opt Options, hints *Hints, sc *Scratch) (*Result, ResumeStats, error) {
+	var stats ResumeStats
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, stats, err
 	}
 	if err := ts.Validate(); err != nil {
-		return nil, nil, err
+		return nil, stats, err
 	}
 	for _, t := range ts.RT {
 		if t.Core < 0 {
-			return nil, nil, fmt.Errorf("RT task %s is not partitioned; run partition.Assign first", t.Name)
+			return nil, stats, fmt.Errorf("RT task %s is not partitioned; run partition.Assign first", t.Name)
 		}
 	}
-	if hints == nil {
-		hints = &Hints{}
+	var h Hints
+	if hints != nil {
+		h = *hints
 	}
-	if !hints.RTVerified && !setSchedulable(ts, opt.AnalysisWorkers) {
-		return nil, nil, fmt.Errorf("RT band is not schedulable under Eq. 1; HYDRA-C requires a feasible legacy system")
+	if !h.RTVerified && !rta.SetSchedulable(ts) {
+		return nil, stats, fmt.Errorf("RT band is not schedulable under Eq. 1; HYDRA-C requires a feasible legacy system")
 	}
 
 	sys := NewSystem(ts)
@@ -124,6 +121,8 @@ func SelectPeriodsResumableWith(ctx context.Context, ts *task.Set, opt Options, 
 		return &Result{Schedulable: true, Periods: []task.Time{}, Resp: []task.Time{}}, stats, nil
 	}
 
+	// One scratch serves the whole analysis: every probe below reuses
+	// its buffers, so the search loops run allocation-free.
 	sc.Reset(sys)
 	sc.ensure(n)
 
@@ -141,14 +140,14 @@ func SelectPeriodsResumableWith(ctx context.Context, ts *task.Set, opt Options, 
 	// changed level. This is what makes a tail-local delta on a
 	// thousand-task band cost o(n) instead of O(n²) probe work.
 	adopt := 0
-	if pr := hints.Prior; pr != nil && !opt.SkipOptimization && opt.CarryIn == Dominance {
+	if pr := h.Prior; pr != nil && !opt.SkipOptimization && opt.CarryIn == Dominance {
 		adopt = adoptablePrefix(sc, sec, pr)
 	}
 	stats.Adopted = adopt
 
 	var resp []task.Time
 	if adopt > 0 {
-		pr := hints.Prior
+		pr := h.Prior
 		resp = sc.resp[:0]
 		for i := 0; i < adopt; i++ {
 			periods[i] = pr.Periods[i]
@@ -186,57 +185,17 @@ func SelectPeriodsResumableWith(ctx context.Context, ts *task.Set, opt Options, 
 	}
 
 	if !opt.SkipOptimization {
-		// Lines 5–9, resumable form. hp accumulates the finalized
-		// interferer prefix (on its own buffer — the probe helpers
-		// below reuse sc.hp); resp[i] is recomputed from it once per
-		// task (it cannot depend on the unfixed periods below, nor on
-		// the task's own period).
-		hp := sc.hpOuter[:0]
-		for k := 0; k < adopt; k++ {
-			hp = append(hp, Interferer{WCET: sec[k].WCET, Period: periods[k], Resp: resp[k]})
-		}
+		// Lines 5–9: from highest to lowest priority, shrink each
+		// period as far as every lower-priority task tolerates. On
+		// entry to level i, resp[i:] holds the exact response times
+		// under the fixed periods above i and Tmax from i down.
 		for i := adopt; i < n; i++ {
 			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-			if i > 0 {
-				cs, limit := sec[i].WCET, sec[i].MaxPeriod
-				var r, rt, nc, ck task.Time
-				var ok bool
-				if opt.CarryIn == Dominance && cs <= limit && limit-cs < MaxFixpointIterations {
-					// The incremental shiftFix calls below keep the
-					// component caches coherent with the stored chain
-					// (empty chg: no perturbation beyond what they
-					// folded in), so the common unmoved task resolves
-					// by the bound layer alone and the rest by a
-					// warm-started fixpoint.
-					sc.chg, sc.chgWild = sc.chg[:0], false
-					r, rt, nc, ck, ok = warmResp(sc, i, cs, limit, resp[i], hp)
-				} else {
-					r, ok = sc.MigratingWCRT(cs, hp, limit, opt.CarryIn)
-					rt = -1
-				}
-				if !ok {
-					// Cannot happen: the task was feasible at Tmax and
-					// the prefix only shrank periods the feasibility
-					// checks already accounted for; recompute keeps
-					// the slice consistent regardless.
-					r = task.Infinity
-					rt = -1
-				}
-				if old := resp[i]; r != old {
-					// The top-k bounds cached below were computed with
-					// this response in the chain; lift them by the
-					// Lipschitz correction (an unbounded r fails the
-					// sanity check and invalidates instead).
-					sc.shiftFix(sec, resp, i+1, chainDelta{c: cs, oldP: periods[i], newP: periods[i], oldR: old, newR: r})
-				}
-				resp[i] = r
-				sc.rtAt[i], sc.ncAt[i], sc.ckAt[i] = rt, nc, ck
+				return nil, stats, err
 			}
 			lo, hi := resp[i], sec[i].MaxPeriod
 			star := task.Time(-1)
-			if cand, ok := hints.Periods[sec[i].Name]; ok && cand >= lo && cand <= hi {
+			if cand, ok := h.Periods[sec[i].Name]; ok && cand >= lo && cand <= hi {
 				if lowerPrioritySchedulable(sc, sec, periods, resp, i, cand, opt.CarryIn) &&
 					(cand == lo || !lowerPrioritySchedulable(sc, sec, periods, resp, i, cand-1, opt.CarryIn)) {
 					star = cand
@@ -252,32 +211,25 @@ func SelectPeriodsResumableWith(ctx context.Context, ts *task.Set, opt Options, 
 				stats.Searched++
 			}
 			if err := ctx.Err(); err != nil {
-				return nil, nil, err
+				return nil, stats, err
 			}
 			periods[i] = star
+			// Line 8: refresh the WCRT of every lower-priority task
+			// under the newly fixed period. When the last feasible
+			// probe was exactly the star (a binary search only shrinks
+			// star on feasible probes), its captured response vector
+			// and component caches ARE the post-fix state. Otherwise a
+			// moved period is refreshed by recomputeBelow; an unmoved
+			// one left resp[i+1:] exact already.
 			if sc.probeFrom == i && sc.probeCand == star {
-				// Line-8 capture, as in the non-resumable path: the
-				// search's last feasible probe was exactly the star, so
-				// its captured response vector and component caches ARE
-				// the post-fix state. Folding them in keeps every lower
-				// task's warm start near its final value — without this
-				// the cold searches below re-climb each fixpoint from
-				// the Tmax-era responses on every probe, which is what
-				// made large-n session bring-up superlinear.
 				copy(resp[i+1:], sc.probeResp[i+1:n])
 				copy(sc.rtAt[i+1:], sc.probeRT[i+1:n])
 				copy(sc.ncAt[i+1:], sc.probeNC[i+1:n])
 				copy(sc.ckAt[i+1:], sc.probeCK[i+1:n])
-			} else if star != sec[i].MaxPeriod {
-				// The caches below were computed with this task still
-				// at Tmax; fold the period change in (exact for the
-				// non-carry-in sums, Lipschitz bound for top-k) so
-				// they describe the post-fix chain.
-				sc.shiftFix(sec, resp, i+1, chainDelta{c: sec[i].WCET, oldP: sec[i].MaxPeriod, newP: star, oldR: resp[i], newR: resp[i]})
+			} else if star != hi {
+				recomputeBelow(sc, sec, periods, resp, i, opt.CarryIn)
 			}
-			hp = append(hp, Interferer{WCET: sec[i].WCET, Period: periods[i], Resp: resp[i]})
 		}
-		sc.hpOuter = hp[:0]
 	}
 
 	// Report in the original ts.Security order.

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"hydrac/internal/oracle"
 	"hydrac/internal/task"
 )
 
@@ -31,9 +32,17 @@ func resumeTestSet(rng *rand.Rand) *task.Set {
 	return ts
 }
 
-// The resumable selector without hints must agree with SelectPeriodsCtx
-// exactly, and with correct hints it must agree while verifying (not
-// searching) every task.
+// sameAsOracle reports whether the kernel's result equals the naive
+// oracle's field for field.
+func sameAsOracle(got *Result, want *oracle.Result) bool {
+	return got.Schedulable == want.Schedulable &&
+		reflect.DeepEqual(got.Periods, want.Periods) &&
+		reflect.DeepEqual(got.Resp, want.Resp)
+}
+
+// The selector without hints must agree with the naive oracle exactly,
+// and with correct hints it must agree while verifying (not searching)
+// every task.
 func TestSelectPeriodsResumableMatchesCold(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(42))
@@ -43,16 +52,16 @@ func TestSelectPeriodsResumableMatchesCold(t *testing.T) {
 		if err := ts.Validate(); err != nil {
 			continue
 		}
-		cold, err := SelectPeriodsCtx(ctx, ts, Options{})
+		want, oerr := oracle.SelectPeriods(ts)
+		cold, stats, err := SelectPeriodsResumable(ctx, ts, Options{}, nil)
+		if (err != nil) != (oerr != nil) {
+			t.Fatalf("trial %d: selector error %v, oracle error %v", trial, err, oerr)
+		}
 		if err != nil {
 			continue // RT band infeasible for this draw
 		}
-		warm, stats, err := SelectPeriodsResumable(ctx, ts, Options{}, nil)
-		if err != nil {
-			t.Fatalf("trial %d: resumable errored where cold succeeded: %v", trial, err)
-		}
-		if !reflect.DeepEqual(cold, warm) {
-			t.Fatalf("trial %d: hintless resumable diverged from cold:\ncold %+v\nwarm %+v", trial, cold, warm)
+		if !sameAsOracle(cold, want) {
+			t.Fatalf("trial %d: hintless selector diverged from the oracle:\noracle %+v\ngot    %+v", trial, want, cold)
 		}
 		if !cold.Schedulable {
 			continue
@@ -70,7 +79,7 @@ func TestSelectPeriodsResumableMatchesCold(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(cold, again) {
-			t.Fatalf("trial %d: hinted resumable diverged from cold", trial)
+			t.Fatalf("trial %d: hinted selection diverged from the hintless one", trial)
 		}
 		if stats2.Searched != 0 {
 			t.Fatalf("trial %d: %d searches despite perfect hints", trial, stats2.Searched)
@@ -94,20 +103,28 @@ func TestSelectPeriodsResumableMatchesCold(t *testing.T) {
 	}
 }
 
-// Hints must be result-neutral for the linear-search ablation too.
+// The linear-search ablation must agree with the oracle, with and
+// without hints (one tick below Tmax: a candidate that usually fails
+// verification).
 func TestSelectPeriodsResumableLinearSearch(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(7))
+	opt := Options{LinearSearch: true}
 	for trial := 0; trial < 60; trial++ {
 		ts := resumeTestSet(rng)
-		opt := Options{LinearSearch: true}
-		cold, err := SelectPeriodsCtx(ctx, ts, opt)
+		want, err := oracle.SelectPeriods(ts)
 		if err != nil {
 			continue
 		}
-		warm, _, err := SelectPeriodsResumable(ctx, ts, opt, nil)
-		if err != nil || !reflect.DeepEqual(cold, warm) {
-			t.Fatalf("trial %d: linear resumable diverged (err %v)", trial, err)
+		near := &Hints{Periods: map[string]task.Time{}}
+		for _, s := range ts.Security {
+			near.Periods[s.Name] = s.MaxPeriod - 1
+		}
+		for _, hints := range []*Hints{nil, near} {
+			got, _, err := SelectPeriodsResumable(ctx, ts, opt, hints)
+			if err != nil || !sameAsOracle(got, want) {
+				t.Fatalf("trial %d (hints %v): linear selection diverged from the oracle (err %v)", trial, hints != nil, err)
+			}
 		}
 	}
 }

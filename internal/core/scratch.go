@@ -85,9 +85,8 @@ type Scratch struct {
 
 	// hp is the probe-scoped interferer buffer shared by the leaf
 	// helpers (responseTimes, lowerPrioritySchedulable,
-	// recomputeBelow), which never nest. hpOuter is the selection-loop
-	// prefix of SelectPeriodsResumable, which is live across probes.
-	hp, hpOuter []Interferer
+	// recomputeBelow), which never nest.
+	hp []Interferer
 
 	// hpWin caches the higher-priority migrating band's Eq. 2/4
 	// staircases as period windows, exactly as rtWin does for the RT
@@ -348,7 +347,7 @@ func (sc *Scratch) Reset(sys *System) {
 	for i := range sc.rtLine {
 		sc.rtLine[i] = coreLine{y0: 1} // y0 > bp: primed invalid
 	}
-	if k := sys.M - 1; k > 1 {
+	if k := sys.M - 1; k > 0 {
 		if cap(sc.topk) < k {
 			sc.topk = make([]task.Time, 0, k)
 		}
@@ -415,9 +414,6 @@ func (sc *Scratch) rtCore(c int, wins []rtWindow, y task.Time) (v, s, bp task.Ti
 func (sc *Scratch) ensure(n int) {
 	if cap(sc.hp) < n {
 		sc.hp = make([]Interferer, 0, n)
-	}
-	if cap(sc.hpOuter) < n {
-		sc.hpOuter = make([]Interferer, 0, n)
 	}
 	if cap(sc.diffs) < n {
 		sc.diffs = make([]diffTerm, 0, n)
@@ -603,31 +599,6 @@ func (sc *Scratch) fixpointPrimed(cs, start, limit task.Time) (task.Time, bool) 
 	return task.Infinity, false
 }
 
-// shiftFix folds one committed chain-entry perturbation into the
-// component caches of every task in sec[from:]: the non-carry-in sums
-// move by an exact clamped-staircase difference (the NC band enters Ω
-// as a plain sum; only period changes touch it), the top-k bounds by
-// diffShift's Lipschitz correction, and the RT component not at all
-// (it does not depend on the chain). A cache whose inputs have left
-// the sane range is invalidated instead.
-func (sc *Scratch) shiftFix(sec []task.SecurityTask, resp []task.Time, from int, e chainDelta) {
-	sane := e.oldR <= e.oldP && e.newR <= e.newP
-	for j := from; j < len(sec); j++ {
-		if sc.rtAt[j] < 0 {
-			continue
-		}
-		rj, cj := resp[j], sec[j].WCET
-		if !sane || rj > sec[j].MaxPeriod {
-			sc.rtAt[j] = -1
-			continue
-		}
-		if e.newP != e.oldP {
-			sc.ncAt[j] += clampInterference(workloadNC(rj, e.c, e.newP), rj, cj) - clampInterference(workloadNC(rj, e.c, e.oldP), rj, cj)
-		}
-		sc.ckAt[j] += e.diffShift(rj, cj)
-	}
-}
-
 // omegaValue evaluates Eq. 6 at window length y exactly as
 // omegaDominance does — same workload formulas, same clamp, same
 // top-(M−1) dominance sum — without the sort, the allocations, or any
@@ -734,53 +705,11 @@ func (sc *Scratch) carryIn(y, cs task.Time) task.Time {
 	}
 	capv := y - cs + 1
 	hw := sc.hpWin
-	if k == 1 {
-		// M == 2: the carry-in set has at most one member, so the
-		// selection is a running maximum with the same early stop.
-		var best task.Time
-		for _, j := range sc.hpOrder {
-			h := &hw[j]
-			if h.xbar >= y {
-				break
-			}
-			ci := min(y, h.cm1)
-			if z := y - h.xbar; z > 0 {
-				w := &h.ci
-				if z >= w.hi || z < w.lo {
-					w.refill(z)
-				}
-				r := z - w.lo
-				if r > w.c {
-					r = w.c
-				}
-				ci += w.qc + r
-			}
-			if ci > capv {
-				ci = capv
-			}
-			w := &h.nc
-			if y >= w.hi || y < w.lo {
-				w.refill(y)
-			}
-			r := y - w.lo
-			if r > w.c {
-				r = w.c
-			}
-			nc := w.qc + r
-			if nc > capv {
-				nc = capv
-			}
-			if d := ci - nc; d > best {
-				best = d
-			}
-		}
-		return best
-	}
-	// General M: a bounded min-heap of the k largest differences. The
-	// heap keys on values alone — the top-k SUM is selection-order
-	// independent, so ties resolve to the same total as the reference
-	// sort. An entry displaces the root only when strictly larger, and
-	// the scan stops when the next demand bound cannot beat the root.
+	// A bounded min-heap of the k largest differences. The heap keys
+	// on values alone — the top-k SUM is selection-order independent,
+	// so ties resolve to the same total as the reference sort. An
+	// entry displaces the root only when strictly larger, and the scan
+	// stops when the next demand bound cannot beat the root.
 	heap := sc.topk[:0]
 	for _, j := range sc.hpOrder {
 		h := &hw[j]

@@ -9,12 +9,7 @@
 // usual fixed-point iteration starting from Cr.
 package rta
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"hydrac/internal/task"
-)
+import "hydrac/internal/task"
 
 // Demand is one higher-priority interferer: a (WCET, Period) pair.
 type Demand struct {
@@ -149,80 +144,6 @@ func SetSchedulable(ts *task.Set) bool {
 		}
 	}
 	return true
-}
-
-// ParallelFor runs fn(i) for every i in [0, n) across at most workers
-// goroutines pulling indices from a shared counter, returning when
-// all calls complete. workers <= 1 (or n <= 1) runs inline. fn must
-// be safe to call concurrently for distinct indices and must confine
-// its writes to per-index slots — the caller merges those slots in
-// index order afterwards, which is what makes fan-outs built on this
-// helper deterministic (the sweep engine's ordered-merge argument).
-func ParallelFor(n, workers int, fn func(int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// SetSchedulableWorkers is SetSchedulable with the per-core verdicts
-// fanned out across a bounded worker group. Cores are independent —
-// a core's Eq. 1 fixpoints read only its own tasks — so each verdict
-// lands in its own slot and the slots merge in core order. The merged
-// verdict is the conjunction over all cores, which is
-// order-independent, so any worker count (including 1) returns
-// exactly what the serial loop returns. The serial loop stops at the
-// first unschedulable core; the parallel form evaluates every core —
-// more work on the failure path, identical verdicts everywhere.
-func SetSchedulableWorkers(ts *task.Set, workers int) bool {
-	if workers <= 1 || ts.Cores <= 1 {
-		return SetSchedulable(ts)
-	}
-	verdicts := make([]bool, ts.Cores)
-	ParallelFor(ts.Cores, workers, func(m int) {
-		verdicts[m] = CoreSchedulable(ts.RTOnCore(m))
-	})
-	for _, ok := range verdicts {
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// SetResponseTimesWorkers computes CoreResponseTimes for every core
-// of a partitioned set, fanning the independent per-core computations
-// across a bounded worker group and merging the result slices in core
-// order. workers <= 1 runs serially; results are identical at any
-// worker count (each core's vector depends only on that core's
-// tasks).
-func SetResponseTimesWorkers(ts *task.Set, workers int) [][]task.Time {
-	out := make([][]task.Time, ts.Cores)
-	ParallelFor(ts.Cores, workers, func(m int) {
-		out[m] = CoreResponseTimes(ts.RTOnCore(m))
-	})
-	return out
 }
 
 // ceilDiv returns ⌈a/b⌉ for a ≥ 0, b > 0.

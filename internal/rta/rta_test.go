@@ -1,7 +1,6 @@
 package rta
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -299,50 +298,5 @@ func TestResponseTimeAllocFree(t *testing.T) {
 		ResponseTime(9, hp, 1_000_000)
 	}); avg != 0 {
 		t.Fatalf("ResponseTime allocates %.1f objects per call; want 0", avg)
-	}
-}
-
-// SetSchedulableWorkers must agree with the serial screen at every
-// worker count, schedulable or not, and SetResponseTimesWorkers must
-// reproduce the per-core vectors exactly (ordered merge of
-// independent cores).
-func TestSetSchedulableWorkersMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 200; trial++ {
-		cores := 1 + rng.Intn(6)
-		ts := &task.Set{Cores: cores}
-		for i := 0; i < cores*(1+rng.Intn(4)); i++ {
-			period := task.Time(5 + rng.Intn(100))
-			wcet := task.Time(1 + rng.Int63n(int64(period)))
-			ts.RT = append(ts.RT, task.RTTask{
-				Name:     fmt.Sprintf("t%d", i),
-				WCET:     wcet,
-				Period:   period,
-				Deadline: period,
-				Core:     rng.Intn(cores),
-				Priority: i,
-			})
-		}
-		want := SetSchedulable(ts)
-		for _, workers := range []int{1, 2, 3, 16} {
-			if got := SetSchedulableWorkers(ts, workers); got != want {
-				t.Fatalf("trial %d workers=%d: %v != serial %v", trial, workers, got, want)
-			}
-		}
-		wantRT := SetResponseTimesWorkers(ts, 1)
-		for _, workers := range []int{2, 16} {
-			gotRT := SetResponseTimesWorkers(ts, workers)
-			for m := range wantRT {
-				if len(gotRT[m]) != len(wantRT[m]) {
-					t.Fatalf("trial %d workers=%d core %d: length drifted", trial, workers, m)
-				}
-				for i := range wantRT[m] {
-					if gotRT[m][i] != wantRT[m][i] {
-						t.Fatalf("trial %d workers=%d core %d task %d: %d != %d",
-							trial, workers, m, i, gotRT[m][i], wantRT[m][i])
-					}
-				}
-			}
-		}
 	}
 }

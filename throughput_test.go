@@ -129,51 +129,6 @@ func TestPooledScratchStress(t *testing.T) {
 	}
 }
 
-// TestAnalysisWorkersBitIdentical pins the tentpole's intra-analysis
-// parallelism contract: any WithAnalysisWorkers value produces
-// byte-identical reports (the per-core RTA verdicts merge in core
-// order; the conjunction is order-independent).
-func TestAnalysisWorkersBitIdentical(t *testing.T) {
-	sets := throughputSets(t, 8)
-	serial, err := hydrac.New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	var want [][]byte
-	for _, ts := range sets {
-		rep, err := serial.Analyze(ctx, ts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, canonicalJSON(t, rep))
-	}
-	for _, workers := range []int{2, 3, 8} {
-		par, err := hydrac.New(hydrac.WithAnalysisWorkers(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, ts := range sets {
-			rep, err := par.Analyze(ctx, ts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(canonicalJSON(t, rep), want[i]) {
-				t.Fatalf("workers=%d: set %d drifted from the serial analysis", workers, i)
-			}
-		}
-		// Sessions route the worker count through the admission
-		// engine's memoized screen; same contract.
-		_, rep, err := par.NewSession(ctx, sets[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(canonicalJSON(t, rep), want[0]) {
-			t.Fatalf("workers=%d: session report drifted from the serial analysis", workers)
-		}
-	}
-}
-
 // TestAnalyzeBatchSteadyStateAllocs is the regression gate for the
 // pooled-scratch batch path: per-item allocations must stay at
 // report-shaping level (clones, report slices) with no per-analysis
