@@ -36,7 +36,7 @@ func BenchmarkHydradAnalyzeCacheHit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	h := hydradhttp.NewHandler(hydradhttp.Config{Analyzer: a, Summary: map[string]any{"cache": 8}, MaxSessions: 16, CacheSize: 8})
+	h := hydradhttp.NewHandler(hydradhttp.Config{Analyzer: a, Summary: map[string]any{"cache": 8}, CacheSize: 8})
 	body := benchBody(b)
 
 	warm := httptest.NewRequest("POST", "/v1/analyze", bytes.NewReader(body))
@@ -79,7 +79,7 @@ func BenchmarkHydradAnalyzeCacheHitTight(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	h := hydradhttp.NewHandler(hydradhttp.Config{Analyzer: a, Summary: map[string]any{"cache": 8}, MaxSessions: 16, CacheSize: 8})
+	h := hydradhttp.NewHandler(hydradhttp.Config{Analyzer: a, Summary: map[string]any{"cache": 8}, CacheSize: 8})
 	body := benchBody(b)
 
 	warm := httptest.NewRequest("POST", "/v1/analyze", bytes.NewReader(body))

@@ -21,7 +21,7 @@
 // X-Hydra-Owner, a background prober (interval -probe-every) marks
 // unreachable peers down so their sessions fail over to the ring
 // successor, and SIGTERM triggers a graceful drain: new sessions are
-// redirected away while every durable session is streamed to its
+// redirected away while every held session is streamed to its
 // successor over POST /v1/handoff (bounded by -drain-timeout), so a
 // rolling restart loses no acknowledged delta.
 //
@@ -57,15 +57,16 @@
 // "schedulable": false report means the delta was DENIED and the
 // session state is unchanged (removal-only deltas always commit).
 //
-// Sessions live in a fixed-capacity LRU (-sessions). Without
-// -data-dir the least recently used session is LOST on eviction, and
-// later requests against it answer 410 Gone (a bare 404 means the id
-// never existed). With -data-dir every session is durable: creation
+// Every session lives in the session store (internal/store): creation
 // snapshots the base set, every committed delta is appended to a
-// per-session write-ahead log (fsynced before the commit is
-// acknowledged unless -wal-sync=false), evicted sessions re-hydrate
-// transparently from disk, and a restarted daemon recovers every
-// session by replay — bit-identical to the pre-restart state.
+// per-session write-ahead log, and at most -sessions engines stay
+// live — an evicted session re-hydrates transparently from its files
+// on next touch. With -data-dir the store is durable: the WAL is
+// fsynced before a commit is acknowledged (unless -wal-sync=false) and
+// a restarted daemon recovers every session by replay, bit-identical
+// to the pre-restart state. Without it the store lives in an unsynced
+// temporary directory that is removed on exit, so a restart loses the
+// sessions; -sessions 0 without -data-dir disables them (404).
 package main
 
 import (
@@ -99,10 +100,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060); empty disables")
 	cacheSize := fs.Int("cache", 1024, "report cache entries (0 disables)")
-	sessions := fs.Int("sessions", 256, "live admission sessions kept (LRU eviction)")
-	dataDir := fs.String("data-dir", "", "directory for durable session state (snapshot + WAL per session); empty keeps sessions in memory only")
+	sessions := fs.Int("sessions", 256, "admission sessions kept live in memory; the rest re-hydrate from their files on next touch (0 without -data-dir disables sessions)")
+	dataDir := fs.String("data-dir", "", "directory for durable session state (snapshot + WAL per session); empty keeps sessions in a temporary directory removed on exit")
 	walSync := fs.Bool("wal-sync", true, "fsync the WAL on every committed delta (only meaningful with -data-dir)")
-	compactEvery := fs.Int("compact-every", 256, "snapshot + rotate a session's WAL every N committed deltas (only meaningful with -data-dir)")
+	compactEvery := fs.Int("compact-every", 256, "snapshot + rotate a session's WAL every N committed deltas")
 	heuristic := fs.String("heuristic", "best-fit", "partitioning heuristic: best-fit | first-fit | worst-fit | next-fit")
 	baselines := fs.String("baselines", "", "comma-separated baseline schemes to attach to every report (hydra, hydra-aggressive, hydra-tmax, global-tmax)")
 	simHorizon := fs.Int64("sim-horizon", 0, "when positive, simulate every admitted set for this many ticks")
@@ -149,19 +150,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		summary["fleet_self"] = fl.Self()
 		summary["fleet_size"] = len(fl.Peers())
 	}
-	var st *store.Store
+	st, closeStore, err := openStore(a, *dataDir, store.Options{
+		MaxLive:      *sessions,
+		NoSync:       !*walSync,
+		CompactEvery: *compactEvery,
+		Logf:         logf,
+	})
+	if err != nil {
+		fmt.Fprintln(stderr, "hydrad:", err)
+		return 1
+	}
+	defer closeStore()
 	if *dataDir != "" {
-		st, err = store.Open(*dataDir, a, store.Options{
-			MaxLive:      *sessions,
-			NoSync:       !*walSync,
-			CompactEvery: *compactEvery,
-			Logf:         logf,
-		})
-		if err != nil {
-			fmt.Fprintln(stderr, "hydrad:", err)
-			return 1
-		}
-		defer st.Close()
 		fmt.Fprintf(stderr, "hydrad: recovered %d durable sessions from %s\n", st.Len(), *dataDir)
 		summary["data_dir"] = *dataDir
 		summary["wal_sync"] = *walSync
@@ -194,7 +194,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	handler := hydradhttp.NewHandler(hydradhttp.Config{
 		Analyzer:       a,
 		Summary:        summary,
-		MaxSessions:    *sessions,
 		CacheSize:      *cacheSize,
 		Store:          st,
 		Fleet:          fl,
@@ -248,13 +247,49 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "hydrad:", err)
 			return 1
 		}
-		// The deferred st.Close() runs after in-flight requests have
-		// drained, flushing NoSync WALs before exit.
+		// The deferred closeStore runs after in-flight requests have
+		// drained, flushing NoSync WALs (and removing a temporary
+		// store) before exit.
 		return 0
 	case err := <-errc:
 		fmt.Fprintln(stderr, "hydrad:", err)
 		return 1
 	}
+}
+
+// openStore opens the session store. With dataDir it is the durable
+// store in that directory. Without it the store lives in a fresh
+// temporary directory, unsynced because nothing there outlives the
+// process, and the returned cleanup removes the directory after
+// closing the store. opt.MaxLive <= 0 (-sessions 0) without a dataDir
+// opens no store: the handler then answers the session routes with 404.
+func openStore(a *hydrac.Analyzer, dataDir string, opt store.Options) (*store.Store, func(), error) {
+	if dataDir != "" {
+		st, err := store.Open(dataDir, a, opt)
+		if err != nil {
+			return nil, nil, err
+		}
+		return st, func() { st.Close() }, nil
+	}
+	if opt.MaxLive <= 0 {
+		return nil, func() {}, nil
+	}
+	dir, err := os.MkdirTemp("", "hydrad-sessions-*")
+	if err != nil {
+		return nil, nil, err
+	}
+	opt.NoSync = true
+	st, err := store.Open(dir, a, opt)
+	if err != nil {
+		os.RemoveAll(dir)
+		return nil, nil, err
+	}
+	return st, func() {
+		st.Close()
+		if err := os.RemoveAll(dir); err != nil && opt.Logf != nil {
+			opt.Logf("removing temporary session store: %v", err)
+		}
+	}, nil
 }
 
 // buildFleet translates -peers/-self into a fleet view; both empty

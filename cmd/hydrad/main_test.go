@@ -15,6 +15,7 @@ import (
 	"hydrac"
 	"hydrac/internal/hydradhttp"
 	"hydrac/internal/rover"
+	"hydrac/internal/store"
 )
 
 func testHandler(t *testing.T, opts ...hydrac.AnalyzerOption) http.Handler {
@@ -23,7 +24,12 @@ func testHandler(t *testing.T, opts ...hydrac.AnalyzerOption) http.Handler {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return hydradhttp.NewHandler(hydradhttp.Config{Analyzer: a, Summary: map[string]any{"cache": 0}, MaxSessions: 16, CacheSize: 8})
+	st, err := store.Open(t.TempDir(), a, store.Options{MaxLive: 16, NoSync: true, ProbeEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return hydradhttp.NewHandler(hydradhttp.Config{Analyzer: a, Summary: map[string]any{"cache": 0}, CacheSize: 8, Store: st})
 }
 
 func roverJSON(t *testing.T) []byte {
@@ -469,7 +475,8 @@ func TestCorpusGoldenHTTP(t *testing.T) {
 }
 
 // -sessions 0 disables the session endpoints: creating must fail
-// loudly instead of handing out an id the store will never retain.
+// loudly instead of handing out an id nothing will retain, and the
+// session and handoff routes say the same.
 func TestSessionsDisabled(t *testing.T) {
 	a, err := hydrac.New()
 	if err != nil {
@@ -477,13 +484,78 @@ func TestSessionsDisabled(t *testing.T) {
 	}
 	srv := httptest.NewServer(hydradhttp.NewHandler(hydradhttp.Config{Analyzer: a}))
 	defer srv.Close()
-	code, body := postJSON(t, srv.URL+"/v1/session", roverJSON(t))
-	if code != http.StatusNotFound {
-		t.Fatalf("create with sessions disabled: status %d: %s", code, body)
+	for _, path := range []string{"/v1/session", "/v1/session/deadbeef/admit", "/v1/handoff"} {
+		code, body := postJSON(t, srv.URL+path, roverJSON(t))
+		if code != http.StatusNotFound {
+			t.Fatalf("POST %s with sessions disabled: status %d: %s", path, code, body)
+		}
+		if !bytes.Contains(body, []byte("disabled")) {
+			t.Fatalf("POST %s: error should say sessions are disabled: %s", path, body)
+		}
 	}
-	if !bytes.Contains(body, []byte("disabled")) {
-		t.Fatalf("error should say sessions are disabled: %s", body)
+}
+
+// Without -data-dir hydrad keeps sessions in a throwaway store under
+// TMPDIR: a session pushed out of the -sessions window re-hydrates from
+// its files, cleanup removes the directory, and -sessions 0 opens no
+// store at all.
+func TestOpenStoreTemporary(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	a, err := hydrac.New()
+	if err != nil {
+		t.Fatal(err)
 	}
+	st, cleanup, err := openStore(a, "", store.Options{MaxLive: 1, ProbeEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st == nil {
+		t.Fatal("no store opened for -sessions 1 without -data-dir")
+	}
+	if dirents, _ := os.ReadDir(tmp); len(dirents) != 1 {
+		t.Fatalf("TMPDIR holds %d entries, want the store's directory", len(dirents))
+	}
+	srv := httptest.NewServer(hydradhttp.NewHandler(hydradhttp.Config{Analyzer: a, Store: st}))
+	create := func() string {
+		code, body := postJSON(t, srv.URL+"/v1/session", roverJSON(t))
+		var created struct {
+			SessionID string `json:"session_id"`
+		}
+		if err := json.Unmarshal(body, &created); code != http.StatusOK || err != nil || created.SessionID == "" {
+			t.Fatalf("create: status %d: %s", code, body)
+		}
+		return created.SessionID
+	}
+	read := func(id string) []byte {
+		resp, err := http.Get(srv.URL + "/v1/session/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET session %s: status %d: %s", id, resp.StatusCode, body)
+		}
+		return body
+	}
+	first := create()
+	want := read(first)
+	create() // pushes the first session out of the live window
+	if got := read(first); !bytes.Equal(got, want) {
+		t.Fatalf("re-hydrated session differs:\ngot:  %s\nwant: %s", got, want)
+	}
+	srv.Close()
+	cleanup()
+	if dirents, _ := os.ReadDir(tmp); len(dirents) != 0 {
+		t.Fatalf("cleanup left %d entries in TMPDIR", len(dirents))
+	}
+
+	st, cleanup, err = openStore(a, "", store.Options{MaxLive: 0})
+	if err != nil || st != nil {
+		t.Fatalf("-sessions 0 without -data-dir: store %v, err %v; want none", st, err)
+	}
+	cleanup()
 }
 
 // The commit verdict travels in the X-Hydra-Admitted header so the

@@ -1,7 +1,6 @@
 package hydradhttp
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,7 +9,6 @@ import (
 	"net/url"
 	"time"
 
-	"hydrac"
 	"hydrac/internal/fleet"
 	"hydrac/internal/hydraclient"
 	"hydrac/internal/store"
@@ -48,6 +46,10 @@ type handoffRequest struct {
 // from a draining peer, GET answers that peer's post-failure
 // confirmation probe.
 func (s *server) handoff(w http.ResponseWriter, r *http.Request) {
+	if s.store == nil {
+		writeSessionsDisabled(w)
+		return
+	}
 	switch r.Method {
 	case http.MethodGet:
 		s.handoffConfirm(w, r)
@@ -73,23 +75,14 @@ func (s *server) handoff(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("handoff request needs session_id and set"))
 		return
 	}
-	if req.Token != "" {
+	if s.store.ImportedWith(req.SessionID, req.Token) {
 		// A duplicate of a handoff already committed here is
 		// acknowledged before any other refusal — including the
 		// draining one below: the sender is deciding whether to delete
 		// its local copy, and answering a committed transfer with
 		// anything but 200 would leave the session alive on both nodes.
-		committed := false
-		switch {
-		case s.store != nil:
-			committed = s.store.ImportedWith(req.SessionID, req.Token)
-		case s.sessions != nil:
-			committed = s.memoryImportedWith(req.SessionID, req.Token)
-		}
-		if committed {
-			s.writeHandoffAck(w, req)
-			return
-		}
+		s.writeHandoffAck(w, req)
+		return
 	}
 	if s.fleet != nil && s.fleet.Draining() {
 		// Two nodes draining at once must not pass sessions back and
@@ -103,68 +96,21 @@ func (s *server) handoff(w http.ResponseWriter, r *http.Request) {
 	// path, so an acknowledged handoff is exactly as durable — and
 	// exactly as bit-identical — as a locally created session that
 	// survived a restart.
-	switch {
-	case s.store != nil:
-		exp := store.Export{Set: req.Set, Cursor: req.NextFit, Deltas: make([][]byte, len(req.Deltas))}
-		for i, d := range req.Deltas {
-			exp.Deltas[i] = d
+	exp := store.Export{Set: req.Set, Cursor: req.NextFit, Deltas: make([][]byte, len(req.Deltas))}
+	for i, d := range req.Deltas {
+		exp.Deltas[i] = d
+	}
+	// Import acknowledges a token-matching duplicate with nil: the
+	// retry of a committed-but-unacked transfer must answer 200.
+	if err := s.store.Import(r.Context(), req.SessionID, exp, req.Token); err != nil {
+		switch {
+		case errors.Is(err, store.ErrExists):
+			writeError(w, http.StatusConflict, err)
+		case errors.Is(err, store.ErrStorage):
+			writeStorageError(w, err)
+		default:
+			writeError(w, http.StatusUnprocessableEntity, err)
 		}
-		// Import acknowledges a token-matching duplicate with nil: the
-		// retry of a committed-but-unacked transfer must answer 200.
-		if err := s.store.Import(r.Context(), req.SessionID, exp, req.Token); err != nil {
-			switch {
-			case errors.Is(err, store.ErrExists):
-				writeError(w, http.StatusConflict, err)
-			case errors.Is(err, store.ErrStorage):
-				writeStorageError(w, err)
-			default:
-				writeError(w, http.StatusUnprocessableEntity, err)
-			}
-			return
-		}
-	case s.sessions != nil:
-		// Memory mode: replay through a fresh engine, the same
-		// admission path recovery uses — a delta that fails to re-admit
-		// fails the handoff rather than installing a diverged session.
-		set, err := hydrac.DecodeTaskSet(bytes.NewReader(req.Set))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("handoff snapshot set: %w", err))
-			return
-		}
-		if _, ok := s.sessions.Get(req.SessionID); ok {
-			writeError(w, http.StatusConflict, fmt.Errorf("session %q already exists", req.SessionID))
-			return
-		}
-		sess, _, err := s.analyzer.NewSessionWith(r.Context(), set, hydrac.SessionConfig{NextFitCursor: req.NextFit})
-		if err != nil {
-			writeError(w, http.StatusUnprocessableEntity, fmt.Errorf("re-analysing handoff snapshot: %w", err))
-			return
-		}
-		for i, raw := range req.Deltas {
-			d, err := hydrac.DecodeDelta(bytes.NewReader(raw))
-			if err != nil {
-				writeError(w, http.StatusUnprocessableEntity, fmt.Errorf("handoff delta %d: %w", i, err))
-				return
-			}
-			if _, admitted, err := sess.Admit(r.Context(), *d); err != nil || !admitted {
-				writeError(w, http.StatusUnprocessableEntity, fmt.Errorf("handoff delta %d failed to re-admit (admitted=%v err=%v)", i, admitted, err))
-				return
-			}
-		}
-		// The existence probe above is only a fast path; this insert is
-		// the authoritative one. Two concurrent imports of the same id
-		// can both pass the probe, and a blind Add would let the second
-		// silently overwrite the first — AddIfAbsent picks one winner
-		// under the shard lock, the loser conflicts like any duplicate.
-		if !s.sessions.AddIfAbsent(req.SessionID, sess) {
-			writeError(w, http.StatusConflict, fmt.Errorf("session %q already exists", req.SessionID))
-			return
-		}
-		if req.Token != "" {
-			s.handoffTokens.Add(req.SessionID, req.Token)
-		}
-	default:
-		writeError(w, http.StatusNotFound, errors.New("sessions are disabled on this daemon (-sessions 0)"))
 		return
 	}
 	s.writeHandoffAck(w, req)
@@ -176,23 +122,6 @@ func (s *server) writeHandoffAck(w http.ResponseWriter, req handoffRequest) {
 	s.logf("session %s received via handoff (%d deltas)", req.SessionID, len(req.Deltas))
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]any{"session_id": req.SessionID, "deltas": len(req.Deltas)})
-}
-
-// memoryImportedWith reports whether a memory-mode handoff carrying
-// token committed here and the session is still live. Unlike the
-// durable store's ImportedWith this cannot survive a restart (nothing
-// in memory mode does) and an evicted session answers false — the
-// sender then rightly keeps its copy.
-func (s *server) memoryImportedWith(id, token string) bool {
-	if token == "" {
-		return false
-	}
-	t, ok := s.handoffTokens.Get(id)
-	if !ok || t != token {
-		return false
-	}
-	_, live := s.sessions.Get(id)
-	return live
 }
 
 // handoffConfirm is GET /v1/handoff?session=<id>&token=<tok>: the
@@ -210,34 +139,12 @@ func (s *server) handoffConfirm(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("handoff confirm needs session and token query parameters"))
 		return
 	}
-	held := false
-	switch {
-	case s.store != nil:
-		held = s.store.ImportedWith(id, token)
-	case s.sessions != nil:
-		held = s.memoryImportedWith(id, token)
-	}
-	if !held {
+	if !s.store.ImportedWith(id, token) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no committed handoff of session %q with that token", id))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]any{"session_id": id, "held": true})
-}
-
-// holdsSession reports whether this node holds id locally (durable
-// entry or in-memory session). Possession overrides ring ownership
-// when routing: a handed-off session lives where it landed.
-func (s *server) holdsSession(id string) bool {
-	switch {
-	case s.store != nil:
-		return s.store.Has(id)
-	case s.sessions != nil:
-		_, ok := s.sessions.Get(id)
-		return ok
-	default:
-		return false
-	}
 }
 
 // redirect answers 307 + X-Hydra-Owner pointing at owner (a base
@@ -308,12 +215,12 @@ func (s *server) newOwnedSessionID() (string, error) {
 // drainHandoffTimeout bounds one session's handoff POST during drain.
 const drainHandoffTimeout = 30 * time.Second
 
-// Drain flips this node into draining mode and hands every durable
-// session off to its ring-successor peer: for each session, the
-// snapshot + committed-delta log is streamed over POST /v1/handoff
-// and the local copy is surrendered only on acknowledgement
-// (store.Detach), so an acked delta exists on exactly one node at
-// every point in time — zero acked-delta loss, no twins.
+// Drain flips this node into draining mode and hands every session
+// off to its ring-successor peer: for each session, the snapshot +
+// committed-delta log is streamed over POST /v1/handoff and the local
+// copy is surrendered only on acknowledgement (store.Detach), so an
+// acked delta exists on exactly one node at every point in time —
+// zero acked-delta loss, no twins.
 //
 // Ordering guarantees, in drain order:
 //
@@ -324,12 +231,11 @@ const drainHandoffTimeout = 30 * time.Second
 //     frozen, shipped, acknowledged, and only then deleted locally;
 //     from that instant requests answer 307 to the new owner.
 //  3. Sessions with no eligible peer (all down or draining) stay on
-//     local disk — a restart recovers them; nothing is ever shipped
-//     without an acknowledgement.
+//     local disk — a restart on the same data dir recovers them;
+//     nothing is ever shipped without an acknowledgement.
 //
-// Returns how many sessions moved and how many stayed. Memory-mode
-// sessions (no -data-dir) are not handed off: they were never
-// durable, and shutting down loses them exactly as it always did.
+// Returns how many sessions moved and how many stayed. A node without
+// a Store holds no sessions, so it only flips into draining mode.
 func (h *Handler) Drain(ctx context.Context) (moved, kept int) {
 	s := h.srv
 	if s.fleet == nil {
@@ -358,7 +264,7 @@ func (h *Handler) Drain(ctx context.Context) (moved, kept int) {
 		target := s.fleet.HandoffTarget(id)
 		if target == "" {
 			kept++
-			s.logf("drain: no eligible peer for session %s; leaving it on local disk for restart recovery", id)
+			s.logf("drain: no eligible peer for session %s; leaving it local", id)
 			continue
 		}
 		// One token per session handoff, replayed verbatim on every

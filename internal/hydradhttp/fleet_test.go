@@ -30,9 +30,8 @@ type fleetNode struct {
 
 func (n *fleetNode) url() string { return n.srv.URL }
 
-// startFleetPair boots two fleet members. durable=true gives each its
-// own store; false runs memory-mode sessions.
-func startFleetPair(t *testing.T, durable bool) (a, b *fleetNode) {
+// startFleetPair boots two fleet members, each with its own store.
+func startFleetPair(t *testing.T) (a, b *fleetNode) {
 	t.Helper()
 	an, err := hydrac.New(hydrac.WithCache(16))
 	if err != nil {
@@ -62,17 +61,15 @@ func startFleetPair(t *testing.T, durable bool) (a, b *fleetNode) {
 			t.Fatal(err)
 		}
 		n.fl = fl
-		cfg := hydradhttp.Config{Analyzer: an, MaxSessions: 64, CacheSize: 16, Fleet: fl, Logf: t.Logf}
-		if durable {
-			st, err := store.Open(t.TempDir(), an, store.Options{ProbeEvery: -1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { st.Close() })
-			n.st = st
-			cfg.Store = st
+		st, err := store.Open(t.TempDir(), an, store.Options{ProbeEvery: -1, NoSync: true})
+		if err != nil {
+			t.Fatal(err)
 		}
-		n.handler.Store(hydradhttp.NewHandler(cfg))
+		t.Cleanup(func() { st.Close() })
+		n.st = st
+		n.handler.Store(hydradhttp.NewHandler(hydradhttp.Config{
+			Analyzer: an, CacheSize: 16, Store: st, Fleet: fl, Logf: t.Logf,
+		}))
 	}
 	return nodes[0], nodes[1]
 }
@@ -86,7 +83,7 @@ func noRedirect() *http.Client {
 }
 
 func TestFleetCreateMintsSelfOwnedIDs(t *testing.T) {
-	a, b := startFleetPair(t, false)
+	a, b := startFleetPair(t)
 	for i := 0; i < 8; i++ {
 		id := createSession(t, a.url())
 		if !a.fl.Owns(id) {
@@ -102,7 +99,7 @@ func TestFleetCreateMintsSelfOwnedIDs(t *testing.T) {
 // the Location serves the session — both for GET and for POST admit
 // (307 preserves method and body).
 func TestFleetNonOwnerRedirects(t *testing.T) {
-	a, b := startFleetPair(t, true)
+	a, b := startFleetPair(t)
 	id := createSession(t, a.url())
 
 	nr := noRedirect()
@@ -132,11 +129,11 @@ func TestFleetNonOwnerRedirects(t *testing.T) {
 	}
 }
 
-// Drain hands every durable session to the peer; the drained node
-// then redirects session traffic and new creates, and its healthz
-// says draining.
+// Drain hands every session to the peer; the drained node then
+// redirects session traffic and new creates, and its healthz says
+// draining.
 func TestFleetDrainHandsOffAndRedirects(t *testing.T) {
-	a, b := startFleetPair(t, true)
+	a, b := startFleetPair(t)
 	var ids []string
 	for i := 0; i < 3; i++ {
 		id := createSession(t, a.url())
@@ -234,10 +231,10 @@ func TestFleetDrainHandsOffAndRedirects(t *testing.T) {
 	}
 }
 
-// Handoff replays into memory mode too: no -data-dir on the receiver
-// still accepts the stream (durability is per-node).
-func TestFleetHandoffIntoMemoryMode(t *testing.T) {
-	a, b := startFleetPair(t, false)
+// A handoff POSTed by hand imports once: a tokenless duplicate of the
+// id conflicts, and a wire version this build does not speak is a 400.
+func TestFleetHandoffImportConflicts(t *testing.T) {
+	a, b := startFleetPair(t)
 	id := createSession(t, b.url())
 	for i := 0; i < 2; i++ {
 		resp, body := post(t, b.url()+"/v1/session/"+id+"/admit", admitBody(t, i))
@@ -247,8 +244,8 @@ func TestFleetHandoffIntoMemoryMode(t *testing.T) {
 	}
 	_, wantBody := get(t, b.url()+"/v1/session/"+id)
 
-	// Hand the session to A by hand (memory mode has no Drain path):
-	// ship the CURRENT set as snapshot with no deltas.
+	// Hand a copy of the session to A by hand: ship the CURRENT set as
+	// snapshot with no deltas.
 	hreq, _ := json.Marshal(map[string]any{
 		"version": 1, "session_id": "copy-" + id, "next_fit": 0,
 		"set": json.RawMessage(wantBody), "deltas": []json.RawMessage{},
@@ -319,7 +316,7 @@ func seedSessions(t *testing.T, a *fleetNode, n int) (ids []string, want map[str
 // the retry answered 409, the sender kept its copy, and both nodes
 // held diverging twins.
 func TestFleetHandoffRetryAfterLostAck(t *testing.T) {
-	a, b := startFleetPair(t, true)
+	a, b := startFleetPair(t)
 	ids, want := seedSessions(t, a, 2)
 
 	var eaten atomic.Int32
@@ -371,7 +368,7 @@ func TestFleetHandoffRetryAfterLostAck(t *testing.T) {
 // yes lets the drain surrender the local copy instead of keeping a
 // twin.
 func TestFleetHandoffConfirmRescuesLostAcks(t *testing.T) {
-	a, b := startFleetPair(t, true)
+	a, b := startFleetPair(t)
 	ids, want := seedSessions(t, a, 1)
 
 	mw := func(next http.Handler) http.Handler {
@@ -401,7 +398,7 @@ func TestFleetHandoffConfirmRescuesLostAcks(t *testing.T) {
 // healthy peer — equally copyless — would make two healthy nodes
 // redirect each other until the client's hop cap.
 func TestFleetFailoverWithoutCopyAnswers503(t *testing.T) {
-	a, b := startFleetPair(t, true)
+	a, b := startFleetPair(t)
 	id := createSession(t, a.url())
 
 	// Take the owner down and let B's prober notice (DownAfter = 2).
@@ -427,7 +424,7 @@ func TestFleetFailoverWithoutCopyAnswers503(t *testing.T) {
 // moved + kept must equal the starting population, with the
 // not-yet-processed remainder counted as kept.
 func TestFleetDrainAbortAccounting(t *testing.T) {
-	a, b := startFleetPair(t, true)
+	a, b := startFleetPair(t)
 	const n = 4
 	seedSessions(t, a, n)
 
@@ -457,11 +454,11 @@ func TestFleetDrainAbortAccounting(t *testing.T) {
 	}
 }
 
-// Memory-mode receivers honour the handoff token too: a duplicate of
-// a committed transfer is acknowledged, a mismatched token conflicts,
-// and the confirm probe answers exactly for the committed token.
-func TestFleetHandoffTokenMemoryMode(t *testing.T) {
-	a, _ := startFleetPair(t, false)
+// The handoff token over the wire: a duplicate of a committed transfer
+// is acknowledged, a mismatched token conflicts, and the confirm probe
+// answers exactly for the committed token.
+func TestFleetHandoffTokenOverHTTP(t *testing.T) {
+	a, _ := startFleetPair(t)
 
 	mk := func(id, token string) []byte {
 		body, _ := json.Marshal(map[string]any{

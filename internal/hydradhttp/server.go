@@ -38,21 +38,19 @@ type Config struct {
 	Analyzer *hydrac.Analyzer
 	// Summary is echoed on /healthz.
 	Summary map[string]any
-	// MaxSessions bounds live sessions (0 disables the session
-	// endpoints in memory mode; with a Store it is advisory — the
-	// store's own MaxLive bounds materialised engines).
+	// MaxSessions is ignored: the Store's own MaxLive bounds live
+	// sessions. It remains so existing callers keep compiling.
 	MaxSessions int
 	// CacheSize bounds the duplicate-request byte cache (0 disables
 	// it, matching a cacheless analyzer where replayable hit envelopes
 	// never exist).
 	CacheSize int
-	// Store, when non-nil, makes sessions durable: creation snapshots
-	// to disk, commits append to a WAL before acknowledgement, and
-	// LRU-evicted sessions re-hydrate transparently on next touch.
-	// When nil, sessions live in a bounded in-memory LRU and eviction
-	// loses them (surfaced as 410 Gone, not a bare 404).
+	// Store holds every session: creation snapshots to disk, commits
+	// append to a WAL before acknowledgement, and LRU-evicted sessions
+	// re-hydrate transparently on next touch. Nil disables the session
+	// and handoff routes (404).
 	Store *store.Store
-	// Logf receives operational log lines (evictions, recovery);
+	// Logf receives operational log lines (handoffs, drain);
 	// nil is quiet.
 	Logf func(format string, args ...any)
 
@@ -83,18 +81,8 @@ type Config struct {
 type server struct {
 	analyzer *hydrac.Analyzer
 	summary  map[string]any
-	// store is the durable session tier; nil means in-memory sessions.
+	// store is the session tier; nil disables sessions.
 	store *store.Store
-	// sessions is sharded by session-id hash: ids are random hex, so
-	// concurrent sessions spread across shard locks instead of
-	// serialising on one store mutex per request. Unused (nil) when
-	// store is set.
-	sessions *lru.Sharded[*hydrac.Session]
-	// evicted remembers ids the in-memory store dropped, so clients
-	// can tell "evicted" (410 Gone — your session existed, run with
-	// -data-dir to keep it) from "never existed" (404). Bounded like
-	// any cache; an id old enough to rotate out degrades to 404.
-	evicted *lru.Cache[string, struct{}]
 	// respCache short-circuits exact-byte duplicate /v1/analyze
 	// requests: body digest → the canonical cache-hit envelope bytes.
 	// A hit costs one digest and one Write — no task-set decode, no
@@ -104,14 +92,7 @@ type server struct {
 	// every duplicate of those bytes; analysis is deterministic, so
 	// entries never go stale.
 	respCache *lru.Cache[[sha256.Size]byte, []byte]
-	// handoffTokens remembers, in memory mode, the handoff token each
-	// imported session arrived with, so a retried /v1/handoff POST (or
-	// the sender's confirm probe) for a committed transfer answers 200
-	// instead of an ambiguous 409. The durable store keeps its own
-	// record; this exists only when sessions do not outlive the
-	// process anyway. Nil outside memory mode.
-	handoffTokens *lru.Cache[string, string]
-	logf          func(format string, args ...any)
+	logf      func(format string, args ...any)
 	// gate is the overload-protection front; always non-nil (a
 	// zero-limit gate passes everything through) so healthz can
 	// report admission stats unconditionally.
@@ -121,11 +102,6 @@ type server struct {
 	// start anchors healthz's monotonic uptime_seconds.
 	start time.Time
 }
-
-// sessionShards spreads the session store's locking; 16 shards keeps
-// contention negligible up to hundreds of concurrent sessions while
-// costing nothing at -sessions values this small.
-const sessionShards = 16
 
 // Handler is the assembled hydrad HTTP surface. It serves requests
 // through the admission gate and, on a fleet member, owns the drain
@@ -153,27 +129,6 @@ func NewHandler(cfg Config) *Handler {
 	}
 	if s.logf == nil {
 		s.logf = func(string, ...any) {}
-	}
-	if s.store == nil {
-		s.sessions = lru.NewSharded[*hydrac.Session](cfg.MaxSessions, sessionShards)
-		if s.sessions != nil {
-			// Keep the evicted-id memory an order of magnitude deeper
-			// than the live window: a client only needs the 410 until
-			// it notices and re-creates.
-			capEvicted := 4 * cfg.MaxSessions
-			if capEvicted < 1024 {
-				capEvicted = 1024
-			}
-			s.evicted = lru.New[string, struct{}](capEvicted)
-			// Token memory matches the evicted-id depth: a token is
-			// only consulted within a drain's retry window, far shorter
-			// than this cache's churn.
-			s.handoffTokens = lru.New[string, string](capEvicted)
-			s.sessions.OnEvict(func(id string, _ *hydrac.Session) {
-				s.evicted.Add(id, struct{}{})
-				s.logf("session %s evicted from the in-memory session store (run with -data-dir to make sessions durable)", id)
-			})
-		}
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/analyze", s.analyze)
@@ -308,10 +263,8 @@ func (s *server) sessionCreate(w http.ResponseWriter, r *http.Request) {
 	if !requirePost(w, r) {
 		return
 	}
-	if s.store == nil && s.sessions == nil {
-		// -sessions 0: the store never retains anything, so handing
-		// out a session id would be a dead credential.
-		writeError(w, http.StatusNotFound, errors.New("sessions are disabled on this daemon (-sessions 0)"))
+	if s.store == nil {
+		writeSessionsDisabled(w)
 		return
 	}
 	if s.fleet != nil && s.fleet.Draining() {
@@ -340,28 +293,16 @@ func (s *server) sessionCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	var rep *hydrac.Report
-	if s.store != nil {
-		// Durable: Create snapshots the base set and opens the WAL
-		// before the id is handed out, so an acknowledged session
-		// already survives a crash.
-		rep, err = s.store.Create(r.Context(), id, ts)
-		if err != nil {
-			if errors.Is(err, store.ErrStorage) {
-				writeStorageError(w, err)
-				return
-			}
-			writeAnalysisError(w, r, err)
+	// Create snapshots the base set and opens the WAL before the id
+	// is handed out, so an acknowledged session is already on disk.
+	rep, err := s.store.Create(r.Context(), id, ts)
+	if err != nil {
+		if errors.Is(err, store.ErrStorage) {
+			writeStorageError(w, err)
 			return
 		}
-	} else {
-		var sess *hydrac.Session
-		sess, rep, err = s.analyzer.NewSession(r.Context(), ts)
-		if err != nil {
-			writeAnalysisError(w, r, err)
-			return
-		}
-		s.sessions.Add(id, sess)
+		writeAnalysisError(w, r, err)
+		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
@@ -371,9 +312,13 @@ func (s *server) sessionCreate(w http.ResponseWriter, r *http.Request) {
 
 // sessionRoute dispatches /v1/session/{id} and /v1/session/{id}/admit.
 func (s *server) sessionRoute(w http.ResponseWriter, r *http.Request) {
+	if s.store == nil {
+		writeSessionsDisabled(w)
+		return
+	}
 	rest := strings.TrimPrefix(r.URL.Path, "/v1/session/")
 	id, op, _ := strings.Cut(rest, "/")
-	if s.fleet != nil && !s.holdsSession(id) {
+	if s.fleet != nil && !s.store.Has(id) {
 		// Fleet routing: possession beats the ring. A session held
 		// locally is always served locally — after a drain handoff the
 		// receiver holds ids whose raw ring owner is elsewhere, and
@@ -385,57 +330,35 @@ func (s *server) sessionRoute(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	var sess *hydrac.Session
-	if s.store != nil {
-		// Durable: an LRU-evicted session re-hydrates from disk inside
-		// Acquire; release pins it live for exactly this operation.
-		acquired, release, err := s.store.Acquire(r.Context(), id)
-		if err != nil {
-			switch {
-			case errors.Is(err, store.ErrMoved):
-				// Handed off during a drain: the new owner has it.
-				if s.redirectToHandoffTarget(w, r, id) {
-					return
-				}
-				writeError(w, http.StatusGone, fmt.Errorf("session %q was handed off to another node and no healthy peer is known for it", id))
-			case errors.Is(err, store.ErrNotFound):
-				if s.writeFailoverUnavailable(w, id) {
-					// This node serves the id only as a failover
-					// successor (the raw owner is down) and has no
-					// local copy: the downed owner holds the only
-					// durable copy, so this is a clear 503, not a 404 —
-					// and not a redirect to another copyless peer that
-					// would 307 straight back here.
-					return
-				}
-				writeError(w, http.StatusNotFound, fmt.Errorf("unknown session %q (never created on this data dir)", id))
-			case errors.Is(err, store.ErrStorage):
-				writeStorageError(w, err)
-			default:
-				writeError(w, http.StatusInternalServerError, err)
-			}
-			return
-		}
-		defer release()
-		sess = acquired
-	} else {
-		var ok bool
-		sess, ok = s.sessions.Get(id)
-		if !ok {
-			if _, wasEvicted := s.evicted.Get(id); wasEvicted {
-				// Distinct from 404: the session DID exist and the
-				// in-memory store shed it under capacity pressure.
-				s.logf("rejecting request for evicted session %s", id)
-				writeError(w, http.StatusGone, fmt.Errorf("session %q was evicted from the in-memory session store (raise -sessions or run with -data-dir to make sessions durable)", id))
+	// An LRU-evicted session re-hydrates from disk inside Acquire;
+	// release pins it live for exactly this operation.
+	sess, release, err := s.store.Acquire(r.Context(), id)
+	if err != nil {
+		switch {
+		case errors.Is(err, store.ErrMoved):
+			// Handed off during a drain: the new owner has it.
+			if s.redirectToHandoffTarget(w, r, id) {
 				return
 			}
+			writeError(w, http.StatusGone, fmt.Errorf("session %q was handed off to another node and no healthy peer is known for it", id))
+		case errors.Is(err, store.ErrNotFound):
 			if s.writeFailoverUnavailable(w, id) {
+				// This node serves the id only as a failover successor
+				// (the raw owner is down) and has no local copy: the
+				// downed owner holds the only durable copy, so this is
+				// a clear 503, not a 404 — and not a redirect to
+				// another copyless peer that would 307 straight back.
 				return
 			}
-			writeError(w, http.StatusNotFound, fmt.Errorf("unknown session %q (expired, evicted, or never created)", id))
-			return
+			writeError(w, http.StatusNotFound, fmt.Errorf("unknown session %q", id))
+		case errors.Is(err, store.ErrStorage):
+			writeStorageError(w, err)
+		default:
+			writeError(w, http.StatusInternalServerError, err)
 		}
+		return
 	}
+	defer release()
 	switch op {
 	case "":
 		if r.Method != http.MethodGet {
@@ -509,7 +432,7 @@ func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.store != nil {
 		h := s.store.Health()
-		sessions := map[string]any{"durable": true, "count": h.Sessions}
+		sessions := map[string]any{"count": h.Sessions}
 		if !h.OK() {
 			// Reads still work; mutations on degraded sessions 503
 			// until the background probe re-arms them. Surfaced here
@@ -560,6 +483,13 @@ func writeAnalysisError(w http.ResponseWriter, r *http.Request, err error) {
 		return // plain cancellation: the client hung up, the analysis was shed
 	}
 	writeError(w, http.StatusUnprocessableEntity, err)
+}
+
+// writeSessionsDisabled answers the session and handoff routes of a
+// handler built without a Store (hydrad -sessions 0 without -data-dir):
+// handing out a session id there would be a dead credential.
+func writeSessionsDisabled(w http.ResponseWriter) {
+	writeError(w, http.StatusNotFound, errors.New("sessions are disabled on this daemon (-sessions 0)"))
 }
 
 // writeStorageError maps a storage-tier fault to 503: the session is

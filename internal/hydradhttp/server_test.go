@@ -83,48 +83,9 @@ func createSession(t *testing.T, srvURL string) string {
 	return cr.SessionID
 }
 
-// In memory mode an evicted session answers 410 Gone with a body that
-// names the cause — distinct from the bare 404 of an id that never
-// existed — and the eviction is logged.
-func TestMemoryModeEvictionSurfacesGone(t *testing.T) {
-	a, err := hydrac.New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var logs bytes.Buffer
-	// MaxSessions 1 falls below the sharded store's minimum shard
-	// capacity, so it degrades to a single LRU of capacity 1: the
-	// second create always evicts the first.
-	srv := httptest.NewServer(hydradhttp.NewHandler(hydradhttp.Config{
-		Analyzer: a, MaxSessions: 1, CacheSize: 8,
-		Logf: func(format string, args ...any) { fmt.Fprintf(&logs, format+"\n", args...) },
-	}))
-	defer srv.Close()
-
-	first := createSession(t, srv.URL)
-	second := createSession(t, srv.URL)
-
-	resp, body := get(t, srv.URL+"/v1/session/"+first)
-	if resp.StatusCode != http.StatusGone {
-		t.Fatalf("evicted session: got %d %s, want 410", resp.StatusCode, body)
-	}
-	if !strings.Contains(string(body), "evicted") || !strings.Contains(string(body), "-data-dir") {
-		t.Fatalf("410 body does not explain the eviction: %s", body)
-	}
-	if !strings.Contains(logs.String(), "evicted") {
-		t.Fatalf("eviction not logged: %q", logs.String())
-	}
-	// The survivor still serves; a never-created id is a plain 404.
-	if resp, body := get(t, srv.URL+"/v1/session/"+second); resp.StatusCode != http.StatusOK {
-		t.Fatalf("live session: %d %s", resp.StatusCode, body)
-	}
-	if resp, _ := get(t, srv.URL+"/v1/session/deadbeef"); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown session: got %d, want 404", resp.StatusCode)
-	}
-}
-
-// With a durable store behind the handler, eviction is invisible:
-// the evicted session re-hydrates from disk on the next request.
+// Eviction from the store's live window is invisible: the evicted
+// session re-hydrates from disk on the next request, while an id that
+// never existed is a plain 404.
 func TestDurableModeEvictionIsTransparent(t *testing.T) {
 	a, err := hydrac.New()
 	if err != nil {
@@ -136,7 +97,7 @@ func TestDurableModeEvictionIsTransparent(t *testing.T) {
 	}
 	defer st.Close()
 	srv := httptest.NewServer(hydradhttp.NewHandler(hydradhttp.Config{
-		Analyzer: a, MaxSessions: 1, CacheSize: 8, Store: st,
+		Analyzer: a, CacheSize: 8, Store: st,
 	}))
 	defer srv.Close()
 
@@ -159,6 +120,9 @@ func TestDurableModeEvictionIsTransparent(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("admit after re-hydration: %d %s", resp.StatusCode, body)
 	}
+	if resp, _ := get(t, srv.URL+"/v1/session/deadbeef"); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("unknown session: got %d, want 404", resp.StatusCode)
+	}
 }
 
 // The service-level restart property: a handler torn down and rebuilt
@@ -175,7 +139,7 @@ func TestDurableModeSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(hydradhttp.NewHandler(hydradhttp.Config{
-		Analyzer: a, MaxSessions: 16, CacheSize: 8, Store: st,
+		Analyzer: a, CacheSize: 8, Store: st,
 	}))
 
 	id := createSession(t, srv.URL)
@@ -202,7 +166,7 @@ func TestDurableModeSurvivesRestart(t *testing.T) {
 	}
 	defer st2.Close()
 	srv2 := httptest.NewServer(hydradhttp.NewHandler(hydradhttp.Config{
-		Analyzer: a, MaxSessions: 16, CacheSize: 8, Store: st2,
+		Analyzer: a, CacheSize: 8, Store: st2,
 	}))
 	defer srv2.Close()
 
@@ -213,10 +177,10 @@ func TestDurableModeSurvivesRestart(t *testing.T) {
 	if !bytes.Equal(gotSet, wantSet) {
 		t.Fatalf("post-restart set differs:\ngot:  %s\nwant: %s", gotSet, wantSet)
 	}
-	// healthz reports the durable tier.
+	// healthz counts the recovered session.
 	resp, hz := get(t, srv2.URL+"/healthz")
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(hz), `"durable":true`) {
-		t.Fatalf("healthz does not report durable sessions: %d %s", resp.StatusCode, hz)
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(hz), `"sessions":{"count":1}`) {
+		t.Fatalf("healthz does not count the recovered session: %d %s", resp.StatusCode, hz)
 	}
 }
 
@@ -234,7 +198,7 @@ func TestDurableModePathSafety(t *testing.T) {
 	}
 	defer st.Close()
 	srv := httptest.NewServer(hydradhttp.NewHandler(hydradhttp.Config{
-		Analyzer: a, MaxSessions: 4, CacheSize: 0, Store: st,
+		Analyzer: a, CacheSize: 0, Store: st,
 	}))
 	defer srv.Close()
 

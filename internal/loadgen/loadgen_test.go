@@ -12,6 +12,7 @@ import (
 	"hydrac"
 	"hydrac/internal/hydradhttp"
 	"hydrac/internal/rover"
+	"hydrac/internal/store"
 )
 
 func newTestTarget(t *testing.T) string {
@@ -20,8 +21,13 @@ func newTestTarget(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	st, err := store.Open(t.TempDir(), a, store.Options{MaxLive: 16, NoSync: true, ProbeEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
 	srv := httptest.NewServer(hydradhttp.NewHandler(hydradhttp.Config{
-		Analyzer: a, Summary: map[string]any{}, MaxSessions: 16, CacheSize: 64,
+		Analyzer: a, Summary: map[string]any{}, CacheSize: 64, Store: st,
 	}))
 	t.Cleanup(srv.Close)
 	return srv.URL

@@ -86,29 +86,6 @@ func (c *Cache[K, V]) Add(k K, v V) {
 		c.order.MoveToFront(el)
 		return
 	}
-	c.insertLocked(k, v)
-}
-
-// AddIfAbsent stores v under k only when the key is not already
-// present, reporting whether it stored. The check and the insert run
-// under one lock acquisition, so of two racing callers exactly one
-// wins — create-once semantics without an external mutex.
-func (c *Cache[K, V]) AddIfAbsent(k K, v V) bool {
-	if c == nil {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.items[k]; ok {
-		return false
-	}
-	c.insertLocked(k, v)
-	return true
-}
-
-// insertLocked pushes a new entry and applies capacity eviction. The
-// key must be absent and c.mu held.
-func (c *Cache[K, V]) insertLocked(k K, v V) {
 	c.items[k] = c.order.PushFront(&entry[K, V]{key: k, val: v})
 	if c.order.Len() > c.cap {
 		oldest := c.order.Back()

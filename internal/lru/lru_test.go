@@ -106,35 +106,3 @@ func TestOnEvict(t *testing.T) {
 	var nilCache *Cache[string, int]
 	nilCache.OnEvict(func(string, int) {}) // nil cache: no-op, no panic
 }
-
-func TestAddIfAbsent(t *testing.T) {
-	c := New[string, int](2)
-	if !c.AddIfAbsent("a", 1) {
-		t.Fatal("insert into empty cache refused")
-	}
-	if c.AddIfAbsent("a", 2) {
-		t.Fatal("duplicate insert accepted")
-	}
-	if v, _ := c.Get("a"); v != 1 {
-		t.Fatalf("losing insert overwrote the value: %d", v)
-	}
-	c.Add("b", 2)
-	// Capacity eviction still applies: "b" then "a" is the recency
-	// order, so the third insert sheds "a".
-	if !c.AddIfAbsent("c", 3) {
-		t.Fatal("insert at capacity refused")
-	}
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 after eviction", c.Len())
-	}
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("LRU entry survived an AddIfAbsent eviction")
-	}
-	if _, ok := c.Get("b"); !ok {
-		t.Fatal("MRU entry evicted")
-	}
-	var nilCache *Cache[string, int]
-	if nilCache.AddIfAbsent("x", 1) {
-		t.Fatal("nil cache claimed to store")
-	}
-}

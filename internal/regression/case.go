@@ -106,12 +106,14 @@ type Profile struct {
 
 // DaemonOpts configures the hydrad instance a load sample boots.
 type DaemonOpts struct {
-	Cache    int
+	Cache int
+	// Sessions is the session store's live window (-sessions).
 	Sessions int
 	// DataDir, when true, boots the daemon with a fresh temporary
-	// -data-dir — the durable session tier with WAL fsync on every
-	// commit. A base build predating the flag makes the sample (and
-	// the case) skip, not fail.
+	// -data-dir — the session store with WAL fsync on every commit —
+	// instead of the unsynced temporary store hydrad opens without it.
+	// A base build predating the flag makes the sample (and the case)
+	// skip, not fail.
 	DataDir bool
 	// MaxInflight, when positive, arms the daemon's admission gate
 	// (-max-inflight): excess load is shed with 429 instead of queued

@@ -256,18 +256,17 @@ func (t HandlerTarget) Start(d DaemonOpts) (string, func() error, error) {
 
 // node builds one in-process hydrad handler — a fleet member when fl
 // is non-nil, standalone otherwise. The returned cleanup releases the
-// node's store and data dir.
+// node's store and its directory.
 func (t HandlerTarget) node(d DaemonOpts, fl *fleet.Fleet) (http.Handler, func(), error) {
 	a, err := hydrac.New(hydrac.WithCache(d.Cache))
 	if err != nil {
 		return nil, nil, err
 	}
 	cfg := hydradhttp.Config{
-		Analyzer:    a,
-		Summary:     map[string]any{"cache": d.Cache},
-		MaxSessions: d.Sessions,
-		CacheSize:   d.Cache,
-		Fleet:       fl,
+		Analyzer:  a,
+		Summary:   map[string]any{"cache": d.Cache},
+		CacheSize: d.Cache,
+		Fleet:     fl,
 	}
 	if d.MaxInflight > 0 {
 		cfg.MaxInflight = d.MaxInflight
@@ -275,12 +274,14 @@ func (t HandlerTarget) node(d DaemonOpts, fl *fleet.Fleet) (http.Handler, func()
 		cfg.QueueWait = d.QueueWait
 	}
 	cleanup := func() {}
-	if d.DataDir {
+	// Like hydrad: sessions always live in a store, fsynced only for
+	// data_dir cases, and -sessions 0 without a data dir opens none.
+	if d.DataDir || d.Sessions > 0 {
 		dataDir, err := os.MkdirTemp("", "hydraperf-data-*")
 		if err != nil {
 			return nil, nil, err
 		}
-		st, err := store.Open(dataDir, a, store.Options{MaxLive: d.Sessions})
+		st, err := store.Open(dataDir, a, store.Options{MaxLive: d.Sessions, NoSync: !d.DataDir})
 		if err != nil {
 			_ = os.RemoveAll(dataDir)
 			return nil, nil, err

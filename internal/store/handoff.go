@@ -105,7 +105,7 @@ func (s *Store) Detach(ctx context.Context, id string, transfer func(Export) err
 // exportLocked reads e's durable state from disk. e.mu must be
 // write-held with the live WAL handle closed.
 func (s *Store) exportLocked(e *entry) (Export, error) {
-	gen, raw, cursor, err := readLatestSnapshotRaw(e.dir)
+	gen, sf, _, err := readLatestSnapshotRaw(s.fs, e.dir)
 	if err != nil {
 		return Export{}, err
 	}
@@ -113,7 +113,7 @@ func (s *Store) exportLocked(e *entry) (Export, error) {
 	if err != nil {
 		return Export{}, err
 	}
-	return Export{Set: raw, Cursor: cursor, Deltas: recs}, nil
+	return Export{Set: sf.Set, Cursor: sf.NextFit, Deltas: recs}, nil
 }
 
 // tokenFile marks a completed import inside a session directory: it
@@ -192,7 +192,7 @@ func (s *Store) Import(ctx context.Context, id string, exp Export, token string)
 // locally or whose import never completed.
 func (s *Store) tokenOf(e *entry) string {
 	e.mu.RLock()
-	raw, err := os.ReadFile(filepath.Join(e.dir, tokenFile))
+	raw, err := s.fs.ReadFile(filepath.Join(e.dir, tokenFile))
 	e.mu.RUnlock()
 	if err != nil {
 		return ""
@@ -267,38 +267,16 @@ func (s *Store) importLocked(ctx context.Context, e *entry, exp Export, token st
 	if token != "" {
 		// Last write on purpose: the file may only exist once the
 		// import is committed, because a retry or confirm probe reads
-		// its presence as "acknowledged". Failing this write fails the
-		// whole import — re-transferring is cheaper than holding a
-		// session whose acknowledgement can never be verified.
-		if err := os.WriteFile(filepath.Join(e.dir, tokenFile), []byte(token), 0o644); err != nil {
+		// its presence as "acknowledged". It is written as durably as
+		// the session itself: a token lost to power failure while the
+		// fsynced session survives would turn the sender's retry into a
+		// 409 and its confirm probe into a 404, and both nodes would
+		// keep the session. Failing this write fails the whole import —
+		// re-transferring is cheaper than holding a session whose
+		// acknowledgement can never be verified.
+		if err := writeFileAtomic(s.fs, filepath.Join(e.dir, tokenFile), []byte(token)); err != nil {
 			return fmt.Errorf("%w: writing handoff token: %v", ErrStorage, err)
 		}
 	}
 	return nil
-}
-
-// readLatestSnapshotRaw is readLatestSnapshot without decoding the
-// set: handoff ships the snapshot's raw bytes so the receiver
-// persists exactly what the sender held.
-func readLatestSnapshotRaw(dir string) (gen uint64, set json.RawMessage, cursor int, err error) {
-	gens, err := listSnapshotGens(dir)
-	if err != nil {
-		return 0, nil, 0, err
-	}
-	if len(gens) == 0 {
-		return 0, nil, 0, fmt.Errorf("no snapshot in %s", dir)
-	}
-	gen = gens[len(gens)-1]
-	raw, err := os.ReadFile(snapshotPath(dir, gen))
-	if err != nil {
-		return 0, nil, 0, err
-	}
-	var sf snapshotFile
-	if err := json.Unmarshal(raw, &sf); err != nil {
-		return 0, nil, 0, fmt.Errorf("parsing snapshot generation %d: %w", gen, err)
-	}
-	if sf.Version != snapshotVersion {
-		return 0, nil, 0, fmt.Errorf("snapshot generation %d has version %d, this build reads %d", gen, sf.Version, snapshotVersion)
-	}
-	return gen, sf.Set, sf.NextFit, nil
 }

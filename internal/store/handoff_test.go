@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"hydrac"
+	"hydrac/internal/faultfs"
 )
 
 func handoffAnalyzer(t *testing.T) *hydrac.Analyzer {
@@ -317,5 +318,32 @@ func TestImportIdempotentWithToken(t *testing.T) {
 	}
 	if !re.ImportedWith(id, token) {
 		t.Error("ImportedWith after onward detach = false")
+	}
+}
+
+// The token file vouches for a committed import, so it must be as
+// durable as the session: a failed fsync of it fails the import with
+// ErrStorage and leaves neither the session nor a confirmable commit
+// record behind (otherwise a power loss could keep the fsynced session
+// but drop its token, and the sender's retry would read 409).
+func TestImportTokenWriteIsSynced(t *testing.T) {
+	ctx := context.Background()
+	in := faultfs.Wrap(nil).Fail(faultfs.Rule{Op: faultfs.OpSync, Path: tokenFile})
+	st, err := Open(t.TempDir(), handoffAnalyzer(t), Options{ProbeEvery: -1, FS: in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+
+	const id, token = "sess-token-sync", "tok-1"
+	err = st.Import(ctx, id, Export{Set: encodeSet(t, handoffBase())}, token)
+	if !errors.Is(err, ErrStorage) {
+		t.Fatalf("import with a failing token fsync: %v, want ErrStorage", err)
+	}
+	if st.Has(id) {
+		t.Error("failed import left the session held")
+	}
+	if st.ImportedWith(id, token) {
+		t.Error("failed import left a confirmable commit record")
 	}
 }

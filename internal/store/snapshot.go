@@ -15,7 +15,7 @@ import (
 )
 
 // snapshotVersion guards the snapshot format; bump on incompatible
-// change and teach readSnapshot both shapes.
+// change and teach readLatestSnapshotRaw both shapes.
 const snapshotVersion = 1
 
 // snapshotFile is the on-disk shape of snap-<gen>.json: the fully
@@ -32,12 +32,11 @@ func snapshotPath(dir string, gen uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("snap-%d.json", gen))
 }
 
-// writeSnapshot persists generation gen atomically: the bytes land in
-// a temp file which is fsynced, renamed into place, and the directory
-// fsynced — a crash leaves either no snap-<gen>.json or a complete
-// one, never a torn one, which is what lets readLatestSnapshot treat
-// any present snapshot as authoritative. All writes go through the
-// store's filesystem seam so the chaos suite can fail any step.
+// writeSnapshot persists generation gen with writeFileAtomic: a crash
+// leaves either no snap-<gen>.json or a complete one, never a torn
+// one, which is what lets readLatestSnapshotRaw treat any present
+// snapshot as authoritative. All writes go through the store's
+// filesystem seam so the chaos suite can fail any step.
 func writeSnapshot(fs faultfs.FS, dir string, gen uint64, set *hydrac.TaskSet, cursor int) error {
 	var setBuf bytes.Buffer
 	if err := hydrac.EncodeTaskSet(&setBuf, set); err != nil {
@@ -51,10 +50,17 @@ func writeSnapshot(fs faultfs.FS, dir string, gen uint64, set *hydrac.TaskSet, c
 	if err != nil {
 		return fmt.Errorf("encoding snapshot: %w", err)
 	}
-	// A fixed temp name per generation is safe: writers are serialised
-	// per session (the engine lock), and the suffix keeps it invisible
-	// to listSnapshotGens until the rename.
-	tmpPath := snapshotPath(dir, gen) + ".tmp"
+	return writeFileAtomic(fs, snapshotPath(dir, gen), payload)
+}
+
+// writeFileAtomic makes path hold payload durably and atomically: the
+// bytes land in path+".tmp", which is fsynced, renamed into place, and
+// the directory fsynced — a crash leaves either no file or a complete
+// one. A fixed temp name is safe because writers into one session
+// directory are serialised (the engine lock or the entry lock), and
+// the suffix keeps it invisible to readers until the rename.
+func writeFileAtomic(fs faultfs.FS, path string, payload []byte) error {
+	tmpPath := path + ".tmp"
 	tmp, err := fs.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
@@ -71,30 +77,10 @@ func writeSnapshot(fs faultfs.FS, dir string, gen uint64, set *hydrac.TaskSet, c
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	if err := fs.Rename(tmpPath, snapshotPath(dir, gen)); err != nil {
+	if err := fs.Rename(tmpPath, path); err != nil {
 		return err
 	}
-	return fs.SyncDir(dir)
-}
-
-// readSnapshot loads and validates one generation's snapshot.
-func readSnapshot(dir string, gen uint64) (*hydrac.TaskSet, int, error) {
-	raw, err := os.ReadFile(snapshotPath(dir, gen))
-	if err != nil {
-		return nil, 0, err
-	}
-	var sf snapshotFile
-	if err := json.Unmarshal(raw, &sf); err != nil {
-		return nil, 0, fmt.Errorf("parsing snapshot generation %d: %w", gen, err)
-	}
-	if sf.Version != snapshotVersion {
-		return nil, 0, fmt.Errorf("snapshot generation %d has version %d, this build reads %d", gen, sf.Version, snapshotVersion)
-	}
-	set, err := hydrac.DecodeTaskSet(bytes.NewReader(sf.Set))
-	if err != nil {
-		return nil, 0, fmt.Errorf("decoding snapshot generation %d set: %w", gen, err)
-	}
-	return set, sf.NextFit, nil
+	return fs.SyncDir(filepath.Dir(path))
 }
 
 // listSnapshotGens returns every generation with a snap-<gen>.json in
@@ -125,24 +111,43 @@ func hasSnapshot(dir string) bool {
 	return err == nil && len(gens) > 0
 }
 
-// readLatestSnapshot loads the highest generation's snapshot — the
+// readLatestSnapshotRaw loads the highest generation's snapshot — the
 // authoritative one; snapshots are written atomically, so the highest
-// present generation is always complete — and returns the superseded
-// generations for cleanup. A snapshot that fails to parse is an error,
-// not a fallback: falling back a generation would silently rewind
-// acknowledged state.
-func readLatestSnapshot(dir string) (gen uint64, set *hydrac.TaskSet, cursor int, stale []uint64, err error) {
+// present generation is always complete — without decoding its set,
+// and returns the superseded generations for cleanup. Handoff ships
+// the raw set so the receiver persists exactly what the sender held.
+// A snapshot that fails to parse is an error, not a fallback: falling
+// back a generation would silently rewind acknowledged state.
+func readLatestSnapshotRaw(fs faultfs.FS, dir string) (gen uint64, sf snapshotFile, stale []uint64, err error) {
 	gens, err := listSnapshotGens(dir)
 	if err != nil {
-		return 0, nil, 0, nil, err
+		return 0, sf, nil, err
 	}
 	if len(gens) == 0 {
-		return 0, nil, 0, nil, fmt.Errorf("no snapshot in %s", dir)
+		return 0, sf, nil, fmt.Errorf("no snapshot in %s", dir)
 	}
 	gen = gens[len(gens)-1]
-	set, cursor, err = readSnapshot(dir, gen)
+	raw, err := fs.ReadFile(snapshotPath(dir, gen))
+	if err != nil {
+		return 0, sf, nil, err
+	}
+	if err := json.Unmarshal(raw, &sf); err != nil {
+		return 0, sf, nil, fmt.Errorf("parsing snapshot generation %d: %w", gen, err)
+	}
+	if sf.Version != snapshotVersion {
+		return 0, sf, nil, fmt.Errorf("snapshot generation %d has version %d, this build reads %d", gen, sf.Version, snapshotVersion)
+	}
+	return gen, sf, gens[:len(gens)-1], nil
+}
+
+// readLatestSnapshot is readLatestSnapshotRaw with the set decoded.
+func readLatestSnapshot(fs faultfs.FS, dir string) (gen uint64, set *hydrac.TaskSet, cursor int, stale []uint64, err error) {
+	gen, sf, stale, err := readLatestSnapshotRaw(fs, dir)
 	if err != nil {
 		return 0, nil, 0, nil, err
 	}
-	return gen, set, cursor, gens[:len(gens)-1], nil
+	if set, err = hydrac.DecodeTaskSet(bytes.NewReader(sf.Set)); err != nil {
+		return 0, nil, 0, nil, fmt.Errorf("decoding snapshot generation %d set: %w", gen, err)
+	}
+	return gen, set, sf.NextFit, stale, nil
 }

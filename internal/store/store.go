@@ -87,7 +87,9 @@ type Options struct {
 	MaxLive int
 	// NoSync disables the per-commit fsync: commits are durable only
 	// against process crashes (the OS holds the bytes), not power
-	// loss. For benchmarks and tests; production keeps it false.
+	// loss. For benchmarks, tests and stores whose directory does not
+	// outlive the process (hydrad without -data-dir); a store meant to
+	// survive a restart keeps it false.
 	NoSync bool
 	// CompactEvery rotates a session's WAL into a fresh snapshot +
 	// empty log once it holds this many records; <= 0 means
@@ -563,7 +565,7 @@ func (s *Store) rehydrate(ctx context.Context, e *entry) error {
 // old state when staging fails. e.mu must be write-held (it guards the
 // directory against concurrent compaction).
 func (s *Store) loadFromDisk(ctx context.Context, e *entry) (*hydrac.Session, *wal.Log, uint64, []uint64, error) {
-	gen, set, cursor, stale, err := readLatestSnapshot(e.dir)
+	gen, set, cursor, stale, err := readLatestSnapshot(s.fs, e.dir)
 	if err != nil {
 		return nil, nil, 0, nil, err
 	}
