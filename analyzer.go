@@ -267,12 +267,6 @@ func (a *Analyzer) AnalyzeBatch(ctx context.Context, sets []*TaskSet) ([]*Report
 	if len(sets) == 0 {
 		return nil, nil
 	}
-	maxHint := 0
-	for _, ts := range sets {
-		if n := core.SizeHint(ts); n > maxHint {
-			maxHint = n
-		}
-	}
 	type slot struct {
 		idx int
 		rep *Report
@@ -292,7 +286,7 @@ func (a *Analyzer) AnalyzeBatch(ctx context.Context, sets []*TaskSet) ([]*Report
 		func() *partial { return &partial{} },
 		func(p *partial, it sweep.Item) error {
 			if p.sc == nil {
-				p.sc = a.pool.Get(nil, maxHint)
+				p.sc = a.pool.Get(nil)
 			}
 			entry, _, _, err := a.analyzeShared(ctx, sets[it.Group], p.sc)
 			if err != nil {
@@ -362,7 +356,7 @@ func (a *Analyzer) analyzeShared(ctx context.Context, ts *TaskSet, sc *core.Scra
 		return nil, nil, false, err
 	}
 	if sc == nil {
-		sc = a.pool.Get(nil, core.SizeHint(ts))
+		sc = a.pool.Get(nil)
 		defer a.pool.Put(sc)
 	}
 	rep, tm, err := a.analyzeCanonical(ctx, ts, key, sc)

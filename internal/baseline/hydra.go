@@ -292,7 +292,7 @@ type GlobalResult struct {
 // M−1 carry-in bound. Schedulable iff Rr ≤ Dr for every RT task and
 // Rs ≤ Tmax for every security task (§5.2.3).
 func GlobalTMax(ts *task.Set) (*GlobalResult, error) {
-	sc := core.DefaultScratchPool.Get(nil, len(ts.RT)+len(ts.Security))
+	sc := core.DefaultScratchPool.Get(nil)
 	defer core.DefaultScratchPool.Put(sc)
 	return GlobalTMaxWith(ts, sc)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sort"
 
 	"hydrac/internal/task"
 )
@@ -56,7 +55,7 @@ func SelectPeriods(ts *task.Set, opt Options) (*Result, error) {
 // duration of the call; services that thread their own scratch use
 // SelectPeriodsCtxWith.
 func SelectPeriodsCtx(ctx context.Context, ts *task.Set, opt Options) (*Result, error) {
-	sc := DefaultScratchPool.Get(nil, SizeHint(ts))
+	sc := DefaultScratchPool.Get(nil)
 	defer DefaultScratchPool.Put(sc)
 	return SelectPeriodsCtxWith(ctx, ts, opt, sc)
 }
@@ -129,60 +128,14 @@ func linearMinPeriod(ctx context.Context, sc *Scratch, sec []task.SecurityTask, 
 	return star
 }
 
-// lowerPrioritySchedulable checks Algorithm 2 line 5: with sec[i]'s
-// period set to cand (and every unprocessed task still at Tmax), does
-// every lower-priority security task keep Rj ≤ Tmax_j? Response times
-// are recomputed top-down from task i+1 because carry-in bounds of
-// deeper tasks depend on the response times above them. The probe
-// runs allocation-free on the scratch and restores periods[i]
-// directly on every exit path (a deferred restore would cost a
-// closure per probe of the binary search).
-func lowerPrioritySchedulable(sc *Scratch, sec []task.SecurityTask, periods, resp []task.Time, i int, cand task.Time, mode CarryInMode) bool {
-	if mode == Dominance {
-		if ok, decided := probeWarm(sc, sec, periods, resp, i, cand); decided {
-			return ok
-		}
-	}
-	saved := periods[i]
-	periods[i] = cand
-
-	hp := sc.hp[:0]
-	for k := 0; k <= i; k++ {
-		hp = append(hp, Interferer{WCET: sec[k].WCET, Period: periods[k], Resp: resp[k]})
-	}
-	ok := true
-	for j := i + 1; j < len(sec); j++ {
-		r, fine := sc.MigratingWCRT(sec[j].WCET, hp, sec[j].MaxPeriod, mode)
-		if !fine || r > sec[j].MaxPeriod {
-			ok = false
-			sc.lastViol = j
-			break
-		}
-		sc.probeResp[j] = r
-		sc.probeRT[j] = -1
-		hp = append(hp, Interferer{WCET: sec[j].WCET, Period: periods[j], Resp: r})
-	}
-	sc.hp = hp[:0]
-	periods[i] = saved
-	if ok {
-		// Remember the full response vector of this feasible probe:
-		// when the search settles on this candidate, the line-8
-		// refresh can reuse it verbatim (same inputs, same fixpoints).
-		sc.probeFrom, sc.probeCand = i, cand
-	} else {
-		sc.probeFrom = -1
-	}
-	return ok
-}
-
-// probeWarm is the warm-started form of the Algorithm 2 probe for
-// the Dominance mode: identical verdict and identical captured
-// response vector, with most per-task fixpoints collapsed to a single
-// Ω evaluation. It reports decided = false only when a task's tick
-// scale defeats the budget argument below; the caller then runs the
-// cold probe.
-//
-// Two monotonicity facts carry the equivalence proof:
+// lowerPrioritySchedulable is the Algorithm 2 probe (line 5): with
+// sec[i]'s period set to cand (and every unprocessed task still at
+// Tmax), does every lower-priority security task keep Rj ≤ Tmax_j?
+// Response times are recomputed top-down from task i+1, because the
+// carry-in bounds of deeper tasks depend on the response times above
+// them, and each one is resolved by warmResp, which starts from the
+// pre-probe value resp[j] instead of Cs wherever that is provably
+// equivalent. Two monotonicity facts carry the equivalence:
 //
 //  1. The pre-probe response vector bounds the in-probe one from
 //     below. A probe only shrinks periods[i] (the candidate never
@@ -193,163 +146,113 @@ func lowerPrioritySchedulable(sc *Scratch, sec []task.SecurityTask, periods, res
 //     entry.
 //  2. Iterating the monotone refinement f(x) = ⌊Ω(x)/M⌋ + Cs from
 //     any x₀ ≤ lfp converges to the SAME least fixed point
-//     (fixpointPrimed). So starting each task's fixpoint at resp[j]
+//     (fixpointPrimed). So starting a task's fixpoint at resp[j]
 //     instead of Cs changes the refinement count, never the value —
 //     and for the common task the probe does not move at all,
 //     f(resp[j]) = resp[j] and one evaluation settles it.
 //
-// The skipped refinements make the iteration budget the one place the
-// verdicts could drift: the naive creep from Cs lifts x by ≥ 1 tick
-// per refinement, so a task with Tmax − Cs < MaxFixpointIterations
-// provably resolves (converges or overruns Tmax) within the budget,
-// and the warm start cannot disagree with a budget-exhaustion verdict
-// that cannot happen. Tasks at 2^40-tick scales fail that gate and
-// take the cold probe, whose line mode counts refinements faithfully.
-// Exhaustive mode never comes here (the caller gates on Dominance).
-func probeWarm(sc *Scratch, sec []task.SecurityTask, periods, resp []task.Time, i int, cand task.Time) (feasible, decided bool) {
+// A feasible probe leaves its response vector and component split in
+// probeResp/probeRT/probeNC/probeCK, which Algorithm 1's line 8 adopts
+// verbatim once the search settles on that candidate. The probe runs
+// allocation-free on the scratch and restores periods[i] directly on
+// every exit path (a deferred restore would cost a closure per probe
+// of the binary search).
+func lowerPrioritySchedulable(sc *Scratch, sec []task.SecurityTask, periods, resp []task.Time, i int, cand task.Time, mode CarryInMode) bool {
 	saved := periods[i]
 	periods[i] = cand
 	hp := sc.hp[:0]
 	for k := 0; k <= i; k++ {
 		hp = append(hp, Interferer{WCET: sec[k].WCET, Period: periods[k], Resp: resp[k]})
 	}
-	sc.chg, sc.chgWild = sc.chg[:0], false
+	// chg lists the chain entries this probe perturbs relative to the
+	// state the component caches were computed under: the candidate's
+	// period, then every response the probe moves.
+	sc.chg = sc.chg[:0]
 	if cand != saved {
 		sc.chg = append(sc.chg, chainDelta{c: sec[i].WCET, oldP: saved, newP: cand, oldR: resp[i], newR: resp[i]})
 	}
+	ok := true
 	// Victim-first rejection: the task that sank the previous probe
 	// usually sinks this one too. Its response under the STALE chain
-	// (resp[] entries for i+1..v−1, each a certified lower bound on
-	// the in-probe value — probeWarm's fact 1) lower-bounds the
-	// in-probe response by Ω-monotonicity, so a limit overrun here is
-	// a sound verdict without touching the tasks in between. A pass
-	// proves nothing and falls through to the full scan.
-	if v := sc.lastViol; v > i && v < len(sec) {
-		cs, limit := sec[v].WCET, sec[v].MaxPeriod
-		if cs <= limit && limit-cs < MaxFixpointIterations {
-			hpv := hp
-			for j := i + 1; j < v; j++ {
-				hpv = append(hpv, Interferer{WCET: sec[j].WCET, Period: periods[j], Resp: resp[j]})
-			}
-			r, _, _, _, fine := warmResp(sc, v, cs, limit, resp[v], hpv)
-			if !fine || r > limit {
-				sc.hp = hp[:0]
-				periods[i] = saved
-				sc.probeFrom = -1
-				return false, true
-			}
+	// (resp[] entries for i+1..v−1, each a certified lower bound on the
+	// in-probe value by fact 1) lower-bounds the in-probe response by
+	// Ω-monotonicity, so a limit overrun here is a sound verdict without
+	// touching the tasks in between. A pass proves nothing and falls
+	// through to the full scan.
+	if v := sc.lastViol; mode == Dominance && v > i && v < len(sec) && warmable(sec[v]) {
+		hpv := hp
+		for j := i + 1; j < v; j++ {
+			hpv = append(hpv, Interferer{WCET: sec[j].WCET, Period: periods[j], Resp: resp[j]})
 		}
+		r, _, _, _, fine := warmResp(sc, v, sec[v], resp[v], hpv, mode)
+		ok = fine && r <= sec[v].MaxPeriod
 	}
-	verdict, certain := true, true
-	for j := i + 1; j < len(sec); j++ {
-		cs, limit := sec[j].WCET, sec[j].MaxPeriod
-		if cs > limit {
-			// The cold probe refuses this before iterating; the
-			// verdict is chain-independent.
-			verdict = false
-			break
-		}
-		if limit-cs >= MaxFixpointIterations {
-			certain = false
-			break
-		}
-		r, rt, nc, ck, fine := warmResp(sc, j, cs, limit, resp[j], hp)
-		if !fine || r > limit {
-			verdict = false
+	for j := i + 1; ok && j < len(sec); j++ {
+		s := sec[j]
+		r, rt, nc, ck, fine := warmResp(sc, j, s, resp[j], hp, mode)
+		if !fine || r > s.MaxPeriod {
+			ok = false
 			sc.lastViol = j
 			break
 		}
 		sc.probeResp[j] = r
 		sc.probeRT[j], sc.probeNC[j], sc.probeCK[j] = rt, nc, ck
 		if r != resp[j] {
-			sc.chg = append(sc.chg, chainDelta{c: cs, oldP: periods[j], newP: periods[j], oldR: resp[j], newR: r})
+			sc.chg = append(sc.chg, chainDelta{c: s.WCET, oldP: periods[j], newP: periods[j], oldR: resp[j], newR: r})
 		}
-		hp = append(hp, Interferer{WCET: cs, Period: periods[j], Resp: r})
+		hp = append(hp, Interferer{WCET: s.WCET, Period: periods[j], Resp: r})
 	}
 	sc.hp = hp[:0]
 	periods[i] = saved
-	if !certain {
-		return false, false
-	}
-	if verdict {
-		// Every entry above was the exact in-probe fixpoint, so the
-		// captured vector is reusable for the line-8 refresh exactly
-		// as the cold probe's is.
+	if ok {
 		sc.probeFrom, sc.probeCand = i, cand
 	} else {
 		sc.probeFrom = -1
 	}
-	return verdict, true
+	return ok
 }
 
-// recomputeBelow refreshes resp[i+1:] after periods[i] was fixed
-// (Algorithm 1 line 8). resp[i] itself depends only on tasks above i
-// and is already final.
-func recomputeBelow(sc *Scratch, sec []task.SecurityTask, periods, resp []task.Time, i int, mode CarryInMode) {
-	hp := sc.hp[:0]
-	for k := 0; k <= i; k++ {
-		hp = append(hp, Interferer{WCET: sec[k].WCET, Period: periods[k], Resp: resp[k]})
-	}
-	// The component caches were last refreshed with sec[i] still
-	// unfixed, i.e. periods[i] = Tmax_i: the chg list starts with that
-	// period change and grows with every response this refresh moves,
-	// exactly as in probeWarm.
-	sc.chg, sc.chgWild = sc.chg[:0], false
-	if oldP := sec[i].MaxPeriod; periods[i] != oldP {
-		sc.chg = append(sc.chg, chainDelta{c: sec[i].WCET, oldP: oldP, newP: periods[i], oldR: resp[i], newR: resp[i]})
-	}
-	for j := i + 1; j < len(sec); j++ {
-		cs, limit := sec[j].WCET, sec[j].MaxPeriod
-		var r, rt, nc, ck task.Time
-		var ok bool
-		if mode == Dominance && cs <= limit && limit-cs < MaxFixpointIterations {
-			// Warm-start from the previous response time: fixing
-			// periods[i] only shrank a period, so the stale resp[j] is
-			// a lower bound on the new fixpoint (probeWarm's facts 1–2
-			// verbatim; the budget gate is the same too).
-			r, rt, nc, ck, ok = warmResp(sc, j, cs, limit, resp[j], hp)
-		} else {
-			r, ok = sc.MigratingWCRT(cs, hp, limit, mode)
-			rt = -1
-		}
-		if !ok {
-			r = task.Infinity
-			rt = -1
-			// An unbounded response in the chain defeats the Lipschitz
-			// bound arithmetic; exact layers remain available.
-			sc.chgWild = true
-		} else if r != resp[j] {
-			sc.chg = append(sc.chg, chainDelta{c: cs, oldP: periods[j], newP: periods[j], oldR: resp[j], newR: r})
-		}
-		sc.rtAt[j], sc.ncAt[j], sc.ckAt[j] = rt, nc, ck
-		resp[j] = r
-		hp = append(hp, Interferer{WCET: sec[j].WCET, Period: periods[j], Resp: r})
-	}
-	sc.hp = hp[:0]
+// warmable reports whether s passes the budget gate under which a
+// warm-started fixpoint provably agrees with the cold one. The
+// skipped refinements make the iteration budget the one place a warm
+// start could drift: the naive creep from Cs lifts x by ≥ 1 tick per
+// refinement, so a task with Tmax − Cs < MaxFixpointIterations
+// resolves (converges or overruns Tmax) within the budget, and a warm
+// start cannot disagree with a budget-exhaustion verdict that cannot
+// happen. Tasks at 2^40-tick scales fail the gate and run cold, where
+// line mode counts refinements faithfully.
+func warmable(s task.SecurityTask) bool {
+	return s.WCET <= s.MaxPeriod && s.MaxPeriod-s.WCET < MaxFixpointIterations
 }
 
 // warmResp resolves sec[j]'s response time against the (possibly
-// perturbed) chain hp, for Dominance mode inside the budget gate. It
-// layers three checks, cheapest first, around the cached component
-// split Ω_j(resp[j]) = RT + ΣNC + top-k:
+// perturbed) chain hp. In Exhaustive mode, or for a task that fails
+// the warmable gate, it is the cold MigratingWCRT from Cs. Otherwise
+// it layers three checks, cheapest first, around the cached component
+// split Ω_j(rj) = RT + ΣNC + top-k:
 //
 //  1. Bound layer, O(|chg|) arithmetic, no chain scan: the cached RT
 //     part is chain-independent, the cached ΣNC part is corrected
 //     EXACTLY for every period in sc.chg (two staircase reads each),
 //     and the cached top-k bound is lifted by diffShift's Lipschitz
 //     correction per perturbed entry. If even this upper bound keeps
-//     f(resp[j]) ≤ resp[j], the pre-probe response is already the
-//     least fixed point reachable from below (fact 2 in probeWarm).
+//     f(rj) ≤ rj, the pre-probe response is already the least fixed
+//     point reachable from below (fact 2 of lowerPrioritySchedulable).
 //  2. Exact layer: re-run only the pruned top-k carry-in scan against
 //     the live chain and recheck with the exact Ω.
-//  3. The task genuinely moved: warm-started fixpoint.
+//  3. The task genuinely moved: fixpoint warm-started at rj.
 //
 // Returned rt/nc/ck are the components at r for re-caching (nc and rt
 // exact, ck an upper bound after a layer-1 accept); rt = −1 when
-// unavailable (line-mode convergence).
-func warmResp(sc *Scratch, j int, cs, limit, rj task.Time, hp []Interferer) (r, rt, nc, ck task.Time, fine bool) {
+// unavailable (cold runs and line-mode convergences).
+func warmResp(sc *Scratch, j int, s task.SecurityTask, rj task.Time, hp []Interferer, mode CarryInMode) (r, rt, nc, ck task.Time, fine bool) {
+	cs, limit := s.WCET, s.MaxPeriod
+	if mode == Exhaustive || !warmable(s) {
+		r, fine = sc.MigratingWCRT(cs, hp, limit, mode)
+		return r, -1, 0, 0, fine
+	}
 	primed := false
-	if cached := sc.rtAt[j]; cached >= 0 && !sc.chgWild && rj >= cs && rj <= limit {
+	if cached := sc.rtAt[j]; cached >= 0 && rj >= cs && rj <= limit {
 		nc = sc.ncAt[j]
 		ck = sc.ckAt[j]
 		for k := range sc.chg {
@@ -419,12 +322,4 @@ func Apply(ts *task.Set, res *Result) *task.Set {
 		cp.Security[i].Core = -1
 	}
 	return cp
-}
-
-// SortSecurityByPriority is a small helper for callers that need the
-// priority order index mapping used by Result fields.
-func SortSecurityByPriority(sec []task.SecurityTask) []task.SecurityTask {
-	out := append([]task.SecurityTask(nil), sec...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Priority < out[j].Priority })
-	return out
 }

@@ -75,21 +75,13 @@ type ResumeStats struct {
 	Adopted int
 }
 
-// SelectPeriodsResumable is SelectPeriodsCtx with warm-start hints:
-// identical results, bit for bit, with most of the per-task period
-// searches replaced by two-probe verifications when the hints match.
-// With nil hints it is SelectPeriodsCtx.
-func SelectPeriodsResumable(ctx context.Context, ts *task.Set, opt Options, hints *Hints) (*Result, ResumeStats, error) {
-	sc := DefaultScratchPool.Get(nil, SizeHint(ts))
-	defer DefaultScratchPool.Put(sc)
-	return SelectPeriodsResumableWith(ctx, ts, opt, hints, sc)
-}
-
-// SelectPeriodsResumableWith is SelectPeriodsResumable with a
-// caller-owned Scratch: a long-lived owner (the admission engine)
-// re-primes one workspace per analysis instead of reallocating the
-// kernel buffers on every delta. The scratch must not be shared
-// across goroutines; results are identical to the scratch-free form.
+// SelectPeriodsResumableWith is SelectPeriodsCtxWith with warm-start
+// hints: identical results, bit for bit, with most of the per-task
+// period searches replaced by two-probe verifications when the hints
+// match. It runs on a caller-owned Scratch: a long-lived owner (the
+// admission engine) re-primes one workspace per analysis instead of
+// reallocating the kernel buffers on every delta. The scratch must not
+// be shared across goroutines.
 //
 // This is the one Algorithm 1 loop: SelectPeriods, SelectPeriodsCtx
 // and SelectPeriodsCtxWith run it with nil hints.
@@ -145,42 +137,27 @@ func SelectPeriodsResumableWith(ctx context.Context, ts *task.Set, opt Options, 
 	}
 	stats.Adopted = adopt
 
-	var resp []task.Time
+	// Lines 2–4: if any task misses even at Tmax, the set is
+	// unschedulable within the designer bounds. With an adopted prefix
+	// the all-Tmax screen reduces to the suffix under the chain (prefix
+	// final, suffix Tmax). Equivalence: a prefix task's Tmax-feasibility
+	// depends only on the (identical) levels above it, so it cannot have
+	// changed; a suffix task infeasible at all-Tmax is infeasible under
+	// the tighter adopted chain too (periods only shrank); and a suffix
+	// task feasible at all-Tmax is feasible under the adopted chain,
+	// because the cold run would fix the same prefix (adoption's own
+	// guarantee) while its searches maintain exactly that feasibility
+	// invariant. The computed values are also the resp state the cold
+	// loop would hold when reaching level `adopt`.
+	resp := sc.resp[:n]
 	if adopt > 0 {
-		pr := h.Prior
-		resp = sc.resp[:0]
-		for i := 0; i < adopt; i++ {
-			periods[i] = pr.Periods[i]
-			resp = append(resp, pr.Resp[i])
-		}
-		resp = resp[:n]
-		sc.resp = resp
-		// Lines 2–4, prefix-adopted form: the all-Tmax screen reduces
-		// to the suffix under the chain (prefix final, suffix Tmax).
-		// Equivalence: a prefix task's Tmax-feasibility depends only on
-		// the (identical) levels above it, so it cannot have changed;
-		// a suffix task infeasible at all-Tmax is infeasible under the
-		// tighter adopted chain too (periods only shrank); and a suffix
-		// task feasible at all-Tmax is feasible under the adopted chain,
-		// because the cold run would fix the same prefix (adoption's own
-		// guarantee) while its searches maintain exactly that
-		// feasibility invariant. The computed values are also the resp
-		// state the cold loop would hold when reaching level `adopt`.
-		suffixRespAtTmax(sc, sec, periods, resp, adopt, opt.CarryIn)
-		for i := adopt; i < n; i++ {
-			if resp[i] > sec[i].MaxPeriod {
-				return &Result{Schedulable: false}, stats, nil
-			}
-		}
-	} else {
-		// Lines 2–4: if any task misses even at Tmax, the set is
-		// unschedulable within the designer bounds.
-		resp = sc.responseTimes(sec, periods, opt.CarryIn, sc.resp)
-		sc.resp = resp
-		for i, s := range sec {
-			if resp[i] > s.MaxPeriod {
-				return &Result{Schedulable: false}, stats, nil
-			}
+		copy(periods, h.Prior.Periods[:adopt])
+		copy(resp, h.Prior.Resp[:adopt])
+	}
+	sc.responseTimes(sec, periods, opt.CarryIn, resp, adopt)
+	for i := adopt; i < n; i++ {
+		if resp[i] > sec[i].MaxPeriod {
+			return &Result{Schedulable: false}, stats, nil
 		}
 	}
 
@@ -195,9 +172,12 @@ func SelectPeriodsResumableWith(ctx context.Context, ts *task.Set, opt Options, 
 			}
 			lo, hi := resp[i], sec[i].MaxPeriod
 			star := task.Time(-1)
+			// A hint is the star iff cand is feasible and cand−1 is not
+			// (or cand is the lower bound). Probing cand−1 first makes a
+			// verified hint's last probe its star.
 			if cand, ok := h.Periods[sec[i].Name]; ok && cand >= lo && cand <= hi {
-				if lowerPrioritySchedulable(sc, sec, periods, resp, i, cand, opt.CarryIn) &&
-					(cand == lo || !lowerPrioritySchedulable(sc, sec, periods, resp, i, cand-1, opt.CarryIn)) {
+				if (cand == lo || !lowerPrioritySchedulable(sc, sec, periods, resp, i, cand-1, opt.CarryIn)) &&
+					lowerPrioritySchedulable(sc, sec, periods, resp, i, cand, opt.CarryIn) {
 					star = cand
 					stats.Verified++
 				}
@@ -213,22 +193,26 @@ func SelectPeriodsResumableWith(ctx context.Context, ts *task.Set, opt Options, 
 			if err := ctx.Err(); err != nil {
 				return nil, stats, err
 			}
-			periods[i] = star
 			// Line 8: refresh the WCRT of every lower-priority task
-			// under the newly fixed period. When the last feasible
-			// probe was exactly the star (a binary search only shrinks
-			// star on feasible probes), its captured response vector
-			// and component caches ARE the post-fix state. Otherwise a
-			// moved period is refreshed by recomputeBelow; an unmoved
-			// one left resp[i+1:] exact already.
-			if sc.probeFrom == i && sc.probeCand == star {
-				copy(resp[i+1:], sc.probeResp[i+1:n])
-				copy(sc.rtAt[i+1:], sc.probeRT[i+1:n])
-				copy(sc.ncAt[i+1:], sc.probeNC[i+1:n])
-				copy(sc.ckAt[i+1:], sc.probeCK[i+1:n])
-			} else if star != hi {
-				recomputeBelow(sc, sec, periods, resp, i, opt.CarryIn)
+			// under the newly fixed period by adopting the star probe's
+			// captured response vector and component caches — they ARE
+			// the post-fix state. When the search's last probe was not
+			// the star (it ended on an infeasible candidate), the star
+			// is probed once more, unchecked. That probe is feasible
+			// because star is either a candidate whose probe already
+			// passed at this level, or hi (Tmax): periods[i] is still
+			// Tmax, so a probe at hi reproduces the incoming resp[i+1:],
+			// which the loop invariant above keeps feasible (lines 2–4,
+			// then each level's adoption). A search change that can
+			// return any other unprobed candidate must check this probe.
+			if sc.probeFrom != i || sc.probeCand != star {
+				lowerPrioritySchedulable(sc, sec, periods, resp, i, star, opt.CarryIn)
 			}
+			periods[i] = star
+			copy(resp[i+1:], sc.probeResp[i+1:n])
+			copy(sc.rtAt[i+1:], sc.probeRT[i+1:n])
+			copy(sc.ncAt[i+1:], sc.probeNC[i+1:n])
+			copy(sc.ckAt[i+1:], sc.probeCK[i+1:n])
 		}
 	}
 
@@ -273,10 +257,10 @@ func SelectPeriodsResumableWith(ctx context.Context, ts *task.Set, opt Options, 
 //     infeasible: added interference cannot make a failing task pass.
 //
 // Budget verdicts cannot drift inside the prefix: every adopted
-// level's tail task is required to satisfy the same
-// Tmax − C < MaxFixpointIterations gate as probeWarm, under which a
-// fixpoint provably resolves within the budget and the operational
-// verdict equals the mathematical one.
+// level's tail task is required to pass the warmable gate
+// (Tmax − C < MaxFixpointIterations), under which a fixpoint provably
+// resolves within the budget and the operational verdict equals the
+// mathematical one.
 func adoptablePrefix(sc *Scratch, sec []task.SecurityTask, pr *Prior) int {
 	n := len(sec)
 	if len(pr.Periods) != len(pr.Sec) || len(pr.Resp) != len(pr.Sec) {
@@ -292,7 +276,7 @@ func adoptablePrefix(sc *Scratch, sec []task.SecurityTask, pr *Prior) int {
 	// The budget gate over the new tail (see above; prefix tasks' own
 	// conjuncts are identical computations and need no gate).
 	for j := p; j < n; j++ {
-		if sec[j].WCET > sec[j].MaxPeriod || sec[j].MaxPeriod-sec[j].WCET >= MaxFixpointIterations {
+		if !warmable(sec[j]) {
 			return 0
 		}
 	}
@@ -394,35 +378,4 @@ func priorityLevel(band []task.SecurityTask, prio int) int {
 		return lo
 	}
 	return -1
-}
-
-// suffixRespAtTmax is the responseTimes pass restricted to sec[from:],
-// under a chain whose first `from` levels are already final (periods
-// and resp filled in) and whose suffix sits at Tmax — the exact resp
-// state the cold loop holds when it reaches level `from`. Component
-// captures mirror responseTimes so the warm layers below start
-// coherent.
-func suffixRespAtTmax(sc *Scratch, sec []task.SecurityTask, periods, resp []task.Time, from int, mode CarryInMode) {
-	hp := sc.hp[:0]
-	for k := 0; k < from; k++ {
-		hp = append(hp, Interferer{WCET: sec[k].WCET, Period: periods[k], Resp: resp[k]})
-	}
-	for i := from; i < len(sec); i++ {
-		s := sec[i]
-		r, ok := sc.MigratingWCRT(s.WCET, hp, s.MaxPeriod, mode)
-		sc.rtAt[i] = -1
-		if ok && mode != Exhaustive && sc.lastY == r {
-			sc.rtAt[i], sc.ncAt[i], sc.ckAt[i] = sc.lastRT, sc.lastNC, sc.lastCK
-		}
-		if !ok {
-			// Same pessimistic stand-in as responseTimes: a diverged
-			// task still interferes with lower-priority ones.
-			resp[i] = task.Infinity
-			hp = append(hp, Interferer{WCET: s.WCET, Period: periods[i], Resp: periods[i]})
-			continue
-		}
-		resp[i] = r
-		hp = append(hp, Interferer{WCET: s.WCET, Period: periods[i], Resp: r})
-	}
-	sc.hp = hp[:0]
 }

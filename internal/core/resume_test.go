@@ -53,7 +53,7 @@ func TestSelectPeriodsResumableMatchesCold(t *testing.T) {
 			continue
 		}
 		want, oerr := oracle.SelectPeriods(ts)
-		cold, stats, err := SelectPeriodsResumable(ctx, ts, Options{}, nil)
+		cold, stats, err := SelectPeriodsResumableWith(ctx, ts, Options{}, nil, NewScratch(nil))
 		if (err != nil) != (oerr != nil) {
 			t.Fatalf("trial %d: selector error %v, oracle error %v", trial, err, oerr)
 		}
@@ -74,7 +74,7 @@ func TestSelectPeriodsResumableMatchesCold(t *testing.T) {
 		for i, s := range ts.Security {
 			hints.Periods[s.Name] = cold.Periods[i]
 		}
-		again, stats2, err := SelectPeriodsResumable(ctx, ts, Options{}, hints)
+		again, stats2, err := SelectPeriodsResumableWith(ctx, ts, Options{}, hints, NewScratch(nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestSelectPeriodsResumableMatchesCold(t *testing.T) {
 		for i, s := range ts.Security {
 			bad.Periods[s.Name] = cold.Periods[i] + 1 + task.Time(rng.Intn(5))
 		}
-		fixed, _, err := SelectPeriodsResumable(ctx, ts, Options{}, bad)
+		fixed, _, err := SelectPeriodsResumableWith(ctx, ts, Options{}, bad, NewScratch(nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestSelectPeriodsResumableLinearSearch(t *testing.T) {
 			near.Periods[s.Name] = s.MaxPeriod - 1
 		}
 		for _, hints := range []*Hints{nil, near} {
-			got, _, err := SelectPeriodsResumable(ctx, ts, opt, hints)
+			got, _, err := SelectPeriodsResumableWith(ctx, ts, opt, hints, NewScratch(nil))
 			if err != nil || !sameAsOracle(got, want) {
 				t.Fatalf("trial %d (hints %v): linear selection diverged from the oracle (err %v)", trial, hints != nil, err)
 			}
@@ -141,7 +141,7 @@ func TestSelectPeriodsResumableSkipOptimization(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		warm, stats, err := SelectPeriodsResumable(ctx, ts, opt, &Hints{Periods: map[string]task.Time{"seca": 1}})
+		warm, stats, err := SelectPeriodsResumableWith(ctx, ts, opt, &Hints{Periods: map[string]task.Time{"seca": 1}}, NewScratch(nil))
 		if err != nil || !reflect.DeepEqual(cold, warm) {
 			t.Fatalf("trial %d: SkipOptimization resumable diverged (err %v)", trial, err)
 		}
@@ -175,4 +175,40 @@ func TestFixpointIterationCapTerminates(t *testing.T) {
 	if res.Schedulable {
 		t.Fatal("creep set accepted; the iteration cap should have fired conservatively")
 	}
+}
+
+// A chain that mixes warmable tasks with one that fails the budget
+// gate (Tmax − C ≥ MaxFixpointIterations) runs the gated task cold and
+// warm-starts the rest inside the same probe. The selection must still
+// match the naive log-search oracle exactly, errors included.
+func TestSelectPeriodsMixedBudgetGate(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	compared, schedulable := 0, 0
+	for trial := 0; trial < 200; trial++ {
+		ts := resumeTestSet(rng)
+		if len(ts.Security) < 2 {
+			continue
+		}
+		g := &ts.Security[rng.Intn(len(ts.Security)-1)] // never the lowest priority
+		g.MaxPeriod = MaxFixpointIterations + g.WCET + task.Time(rng.Intn(1000))
+		want, oerr := oracle.SelectPeriodsLog(ts)
+		got, err := SelectPeriods(ts, Options{})
+		if (err != nil) != (oerr != nil) {
+			t.Fatalf("trial %d: selector error %v, oracle error %v", trial, err, oerr)
+		}
+		compared++
+		if err != nil {
+			continue
+		}
+		if !sameAsOracle(got, want) {
+			t.Fatalf("trial %d: mixed-gate selection diverged from the oracle:\noracle %+v\ngot    %+v", trial, want, got)
+		}
+		if got.Schedulable {
+			schedulable++
+		}
+	}
+	if compared < 50 || schedulable == 0 {
+		t.Fatalf("only %d sets compared (%d schedulable); want ≥ 50 with selections", compared, schedulable)
+	}
+	t.Logf("%d sets compared, %d schedulable", compared, schedulable)
 }

@@ -49,8 +49,8 @@ import "hydrac/internal/task"
 // Scratch is the reusable per-analysis workspace of the kernel: the
 // RT band flattened into structure-of-arrays form plus the buffers the
 // fixpoint and the period-selection helpers need. One Scratch serves
-// one analysis at a time — SelectPeriodsCtx, SelectPeriodsResumable
-// and the admission engine each own one — and must never be shared
+// one analysis at a time — SelectPeriodsCtx borrows one, the admission
+// engine and AnalyzeBatch's workers own one — and must never be shared
 // across goroutines. Reset re-primes it for a new System, reusing all
 // capacity, so steady-state analyses allocate nothing.
 type Scratch struct {
@@ -76,16 +76,15 @@ type Scratch struct {
 
 	// probeResp/probeCand/probeFrom capture the response-time vector
 	// of the most recent fully-feasible Algorithm 2 probe, so the
-	// line-8 refresh after a search can reuse the star probe's
-	// fixpoints instead of re-running them (the last feasible probe of
-	// the binary search IS the star, with identical inputs).
+	// line-8 refresh after a search adopts the star probe's fixpoints
+	// instead of re-running them.
 	probeResp []task.Time
 	probeCand task.Time
 	probeFrom int
 
 	// hp is the probe-scoped interferer buffer shared by the leaf
 	// helpers (responseTimes, lowerPrioritySchedulable,
-	// recomputeBelow), which never nest.
+	// additionsFeasible), which never nest.
 	hp []Interferer
 
 	// hpWin caches the higher-priority migrating band's Eq. 2/4
@@ -141,8 +140,8 @@ type Scratch struct {
 	// check, then an exact pruned carry-in rescan, then the fixpoint.
 	// probeRT/probeNC/probeCK capture the per-probe values the way
 	// probeResp captures the responses; the line-8 capture promotes
-	// them together. chg lists the chain entries the current
-	// probe/refresh has perturbed relative to the cached state.
+	// them together. chg lists the chain entries the current probe has
+	// perturbed relative to the cached state.
 	rtAt, ncAt, ckAt, probeRT, probeNC, probeCK []task.Time
 	chg                                         []chainDelta
 	// lastViol remembers which task sank the most recent infeasible
@@ -151,19 +150,6 @@ type Scratch struct {
 	// bound on the in-probe interference) rejects most infeasible
 	// candidates without touching the tasks in between.
 	lastViol int
-	// chgWild marks a chg list that could not describe the current
-	// perturbation (an unbounded response entered the chain); the
-	// bound layer stands down until the next chain rebuild.
-	chgWild bool
-
-	// aggY/aggV/aggS/aggBP/aggCS cache the whole migrating
-	// non-carry-in band as one line: ΣNC clamped is piecewise linear
-	// in the window length, and security periods dwarf the strides a
-	// fixpoint takes, so one O(n) build at aggY serves every
-	// evaluation until aggBP (the earliest piece end or clamp
-	// crossing). Valid only for the WCET it was clamped against
-	// (aggCS; −1 invalid) and until primeHP mutates the band.
-	aggY, aggV, aggS, aggBP, aggCS task.Time
 
 	// lastY/lastRT/lastNC/lastCK record the component split of the
 	// most recent omegaValue evaluation, so a fixpoint that converges
@@ -250,7 +236,6 @@ type hpWindow struct {
 // re-sorted per MigratingWCRT entry.
 func (sc *Scratch) primeHP(hp []Interferer) {
 	hw := sc.hpWin
-	oldN := len(hw)
 	p := 0
 	for p < len(hw) && p < len(hp) {
 		h := &hp[p]
@@ -269,9 +254,6 @@ func (sc *Scratch) primeHP(hp []Interferer) {
 			}
 		}
 		sc.hpOrder = ord
-	}
-	if p != oldN || len(hp) != oldN {
-		sc.aggCS = -1
 	}
 	for j := p; j < len(hp); j++ {
 		h := &hp[j]
@@ -356,7 +338,6 @@ func (sc *Scratch) Reset(sys *System) {
 		}
 	}
 	sc.probeFrom = -1
-	sc.aggCS = -1
 	sc.lastViol = -1
 }
 
@@ -485,7 +466,7 @@ func (sc *Scratch) MigratingWCRT(cs task.Time, hp []Interferer, limit task.Time,
 // fixpointPrimed runs the Eq. 7 refinement on the already-primed
 // interferer band, starting from start — which must be a sound lower
 // bound on the least fixed point (cs always is; the warm-started
-// probes pass the pre-probe response time, see probeWarm). Iterating
+// probes pass the pre-probe response time, see warmResp). Iterating
 // a monotone f from any x₀ ≤ lfp climbs monotonically to the SAME
 // least fixed point — f(x₀) < x₀ would put a fixed point below x₀ by
 // Knaster–Tarski, contradicting x₀ ≤ lfp — so the start only changes
@@ -621,67 +602,26 @@ func (sc *Scratch) omegaValue(y, cs task.Time) task.Time {
 		}
 		rt += w
 	}
-	// Non-carry-in band, served from the aggregate line when the
-	// evaluation point is still inside its validity span.
+	// Non-carry-in band: each interferer's clamped Eq. 2 term, read
+	// through its period window.
 	var ncSum task.Time
 	if y > 0 {
-		if sc.aggCS == cs && y >= sc.aggY && y < sc.aggBP {
-			ncSum = sc.aggV + sc.aggS*(y-sc.aggY)
-		} else {
-			ncSum = sc.buildNCAgg(y, cs)
+		hw := sc.hpWin
+		for j := range hw {
+			w := &hw[j].nc
+			if y >= w.hi || y < w.lo {
+				w.refill(y)
+			}
+			r := y - w.lo
+			if r > w.c {
+				r = w.c
+			}
+			ncSum += min(w.qc+r, capv)
 		}
 	}
 	ck := sc.carryIn(y, cs)
 	sc.lastY, sc.lastRT, sc.lastNC, sc.lastCK = y, rt, ncSum, ck
 	return rt + ncSum + ck
-}
-
-// buildNCAgg folds the whole migrating non-carry-in band into one
-// exact line at window length y > 0: each interferer's Eq. 2 windowed
-// read is a piece (slope 1 inside the first C ticks of its period
-// window, flat after), the per-entry clamp min(·, y−cs+1) is a slope-1
-// line through the same point, and the min of two lines is linear
-// until they cross — so the clamped sum is linear on [y, aggBP) with
-// aggBP the earliest piece end or clamp crossing. Every evaluation in
-// that span then costs one multiply instead of an O(n) walk.
-func (sc *Scratch) buildNCAgg(y, cs task.Time) task.Time {
-	capv := y - cs + 1
-	var V, S task.Time
-	bp := task.Infinity
-	hw := sc.hpWin
-	for j := range hw {
-		h := &hw[j]
-		w := &h.nc
-		if y >= w.hi || y < w.lo {
-			w.refill(y)
-		}
-		var v, sl, b task.Time
-		if r := y - w.lo; r < w.c {
-			v, sl, b = w.qc+r, 1, w.lo+w.c
-		} else {
-			v, sl, b = w.qc+w.c, 0, w.hi
-		}
-		if v >= capv {
-			// The clamp binds now. A slope-1 piece holds the gap, so
-			// the clamp keeps binding through the piece; a flat piece
-			// is overtaken when the clamp line reaches it.
-			if sl == 0 {
-				if c := v + cs; c < b {
-					b = c
-				}
-			}
-			v, sl = capv, 1
-		}
-		// v < capv: the entry binds and cannot re-cross inside the
-		// piece (its slope never exceeds the clamp's).
-		V += v
-		S += sl
-		if b < bp {
-			bp = b
-		}
-	}
-	sc.aggY, sc.aggV, sc.aggS, sc.aggBP, sc.aggCS = y, V, S, bp, cs
-	return V
 }
 
 // carryIn evaluates the Eq. 5/6 dominance term — the sum of the
@@ -1067,12 +1007,20 @@ func clampLine(y, cs, wv, ws, wb, capv task.Time) (task.Time, task.Time, task.Ti
 	return capv, 1, b
 }
 
-// responseTimes is ResponseTimes on the scratch: identical top-down
-// computation, interferer list and result storage reused.
-func (sc *Scratch) responseTimes(sec []task.SecurityTask, periods []task.Time, mode CarryInMode, resp []task.Time) []task.Time {
-	resp = resp[:0]
+// responseTimes is ResponseTimes on the scratch, restricted to
+// sec[from:]: it fills resp[from:] top-down under a chain whose first
+// `from` levels are final (periods and resp[:from] filled in) and
+// whose remaining levels run at periods[from:], reusing the interferer
+// buffer. Each converged value's Ω component split is cached for
+// warmResp. Lines 2–4 run it with from = 0; a prefix-adopted selection
+// runs it from the first level it did not adopt.
+func (sc *Scratch) responseTimes(sec []task.SecurityTask, periods []task.Time, mode CarryInMode, resp []task.Time, from int) {
 	hp := sc.hp[:0]
-	for i, s := range sec {
+	for k := 0; k < from; k++ {
+		hp = append(hp, Interferer{WCET: sec[k].WCET, Period: periods[k], Resp: resp[k]})
+	}
+	for i := from; i < len(sec); i++ {
+		s := sec[i]
 		r, ok := sc.MigratingWCRT(s.WCET, hp, s.MaxPeriod, mode)
 		sc.rtAt[i] = -1
 		if ok && mode != Exhaustive && sc.lastY == r {
@@ -1082,15 +1030,14 @@ func (sc *Scratch) responseTimes(sec []task.SecurityTask, periods []task.Time, m
 			// A diverged task still interferes with lower-priority
 			// ones; bound its carry-in pessimistically with R = T so
 			// the analysis of the rest remains sound.
-			resp = append(resp, task.Infinity)
+			resp[i] = task.Infinity
 			hp = append(hp, Interferer{WCET: s.WCET, Period: periods[i], Resp: periods[i]})
 			continue
 		}
-		resp = append(resp, r)
+		resp[i] = r
 		hp = append(hp, Interferer{WCET: s.WCET, Period: periods[i], Resp: r})
 	}
 	sc.hp = hp[:0]
-	return resp
 }
 
 // floorDiv returns ⌊a/b⌋ for b > 0 and any a (Go's / truncates toward

@@ -165,7 +165,8 @@ func TestLowerPrioritySchedulableAllocFree(t *testing.T) {
 	sc := NewScratch(sys)
 	sc.ensure(len(sec))
 	periods := []task.Time{300, 400, 500}
-	resp := sc.responseTimes(sec, periods, Dominance, nil)
+	resp := make([]task.Time, len(sec))
+	sc.responseTimes(sec, periods, Dominance, resp, 0)
 	if avg := testing.AllocsPerRun(200, func() {
 		lowerPrioritySchedulable(sc, sec, periods, resp, 0, 120, Dominance)
 	}); avg != 0 {
@@ -197,7 +198,8 @@ func TestOrderStatisticsWarmPathAllocFree(t *testing.T) {
 	sc := NewScratch(sys)
 	sc.ensure(len(sec))
 	periods := []task.Time{300, 400, 500, 600}
-	resp := sc.responseTimes(sec, periods, Dominance, nil)
+	resp := make([]task.Time, len(sec))
+	sc.responseTimes(sec, periods, Dominance, resp, 0)
 	hp := make([]Interferer, 0, 3)
 	for i := 0; i < 3; i++ {
 		hp = append(hp, Interferer{WCET: sec[i].WCET, Period: periods[i], Resp: resp[i]})

@@ -1,74 +1,23 @@
 package core
 
-import (
-	"sync"
-
-	"hydrac/internal/task"
-)
+import "sync"
 
 // ScratchPool recycles Scratch workspaces across analyses. A Scratch
 // is ~10 slices that grow to the analysed set's size; the service
-// layers (Analyzer.Analyze, AnalyzeBatch workers, the admission
-// engine, the baselines) each used to allocate a fresh one per
-// analysis, which at steady state is pure garbage — a Reset re-primes
-// every buffer, so a recycled Scratch is state-equivalent to a fresh
-// one and results are bit-identical either way.
+// layers (Analyzer.Analyze, AnalyzeBatch workers, the baselines) would
+// otherwise allocate a fresh one per analysis, which at steady state is
+// pure garbage — a Reset re-primes every buffer, so a recycled Scratch
+// is state-equivalent to a fresh one and results are bit-identical
+// either way. The pool is one sync.Pool: a borrower takes whatever
+// scratch comes back and its buffers grow on demand, and a scratch
+// grown for a one-off huge set ages out under GC pressure, the usual
+// sync.Pool contract.
 //
-// The pool is size-tiered: a returned Scratch is filed under the
-// capacity class of its selection buffers, and a borrower asks for the
-// class of the set it is about to analyse. Small analyses therefore
-// never pin the giant buffers a one-off huge set grew (those age out
-// of their own tier under GC pressure, the usual sync.Pool contract),
-// and big analyses don't churn through undersized scratches that
-// would immediately reallocate every buffer.
-//
-// The zero value is not usable; use NewScratchPool. All methods are
-// safe for concurrent use — but the Scratches themselves keep their
-// single-goroutine ownership rule: between Get and Put exactly one
-// goroutine may touch a Scratch.
+// All methods are safe for concurrent use — but the Scratches
+// themselves keep their single-goroutine ownership rule: between Get
+// and Put exactly one goroutine may touch a Scratch.
 type ScratchPool struct {
-	tiers [scratchTiers]sync.Pool
-}
-
-// The capacity classes: powers of two from scratchTierMin to
-// scratchTierPow2Max, then scratchTierChunk-wide linear chunks up to
-// scratchTierChunkMax, then one open-ended top tier. The geometric
-// classes keep small analyses from pinning big buffers; the linear
-// chunks keep thousand-task analyses from all colliding in one
-// open-ended tier, where a 2k-task borrower would churn through
-// scratches grown for 6k-task sets (or vice versa, reallocating every
-// buffer on first touch). Past scratchTierChunkMax sizes are rare
-// enough that one shared tier suffices.
-const (
-	scratchTierMin      = 16   // capacity class of tier 0
-	scratchTierPow2Max  = 1024 // largest power-of-two class
-	scratchTierChunk    = 1024 // width of the linear classes above it
-	scratchTierChunkMax = 8192 // largest chunked class; beyond is open-ended
-
-	// 16..1024 doubling → 7 classes, (1024, 8192] in 1024-wide chunks
-	// → 7 classes, plus the open-ended top tier.
-	scratchTiers = 7 + (scratchTierChunkMax-scratchTierPow2Max)/scratchTierChunk + 1
-)
-
-// scratchTier files a capacity n into its class: the smallest
-// power-of-two class ≥ n, the smallest linear chunk ≥ n above the
-// power-of-two range, or the open-ended top tier.
-func scratchTier(n int) int {
-	limit, t := scratchTierMin, 0
-	for limit < scratchTierPow2Max {
-		if n <= limit {
-			return t
-		}
-		limit <<= 1
-		t++
-	}
-	if n <= scratchTierPow2Max {
-		return t
-	}
-	if n <= scratchTierChunkMax {
-		return t + 1 + (n-scratchTierPow2Max-1)/scratchTierChunk
-	}
-	return scratchTiers - 1
+	pool sync.Pool
 }
 
 // NewScratchPool returns an empty pool.
@@ -79,18 +28,13 @@ func NewScratchPool() *ScratchPool {
 // DefaultScratchPool serves the convenience entry points that have no
 // longer-lived owner to borrow from (System.MigratingWCRT,
 // SelectPeriodsCtx, the baselines). Long-lived services may share it
-// or hold their own pool; the tiers keep unrelated workload sizes
-// from interfering either way.
+// or hold their own pool.
 var DefaultScratchPool = NewScratchPool()
 
-// Get borrows a Scratch suitable for a largest band of about n tasks
-// — use the larger of the set's RT and security bands, the same
-// metric Put files by (sizeHint computes it for a task set). Any
-// value is safe; buffers still grow on demand. When sys is non-nil
-// the scratch comes back primed for it, exactly as NewScratch(sys)
-// would be.
-func (p *ScratchPool) Get(sys *System, n int) *Scratch {
-	sc, _ := p.tiers[scratchTier(n)].Get().(*Scratch)
+// Get borrows a Scratch. When sys is non-nil the scratch comes back
+// primed for it, exactly as NewScratch(sys) would be.
+func (p *ScratchPool) Get(sys *System) *Scratch {
+	sc, _ := p.pool.Get().(*Scratch)
 	if sc == nil {
 		sc = NewScratch(nil)
 	}
@@ -110,33 +54,5 @@ func (p *ScratchPool) Put(sc *Scratch) {
 	// Drop the System so a pooled scratch never pins an analysed
 	// set's demand slices beyond the analysis that borrowed it.
 	sc.sys = nil
-	p.tiers[scratchTier(sc.sizeClass())].Put(sc)
-}
-
-// SizeHint is the Get hint for analysing ts: the larger of its two
-// task bands, matching the metric Put files returned scratches by
-// (rtWin scales with the RT band, probeResp/hpWin with the security
-// band).
-func SizeHint(ts *task.Set) int {
-	if len(ts.RT) > len(ts.Security) {
-		return len(ts.RT)
-	}
-	return len(ts.Security)
-}
-
-// sizeClass is the capacity a scratch is filed under when returned:
-// the largest of its per-band buffers. probeResp tracks the security
-// band of selection runs, but fixpoint-only borrowers (GlobalTMax,
-// the MigratingWCRT convenience wrapper) grow only rtWin/hpWin —
-// filing by probeResp alone would park a huge scratch in the small
-// tier, exactly the pinning the tiers exist to prevent.
-func (sc *Scratch) sizeClass() int {
-	n := cap(sc.probeResp)
-	if c := cap(sc.hpWin); c > n {
-		n = c
-	}
-	if c := cap(sc.rtWin); c > n {
-		n = c
-	}
-	return n
+	p.pool.Put(sc)
 }

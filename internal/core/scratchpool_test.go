@@ -8,32 +8,6 @@ import (
 	"hydrac/internal/task"
 )
 
-func TestScratchTierClasses(t *testing.T) {
-	cases := []struct {
-		n, tier int
-	}{
-		{0, 0}, {1, 0}, {16, 0},
-		{17, 1}, {32, 1},
-		{33, 2}, {64, 2},
-		{65, 3}, {128, 3},
-		{513, 6}, {1024, 6},
-		// Linear 1024-wide chunks above the power-of-two range: a
-		// 2k-task scratch and a 6k-task scratch must not share a tier.
-		{1025, 7}, {2048, 7},
-		{2049, 8}, {3072, 8},
-		{8192, 13},
-		{8193, 14}, {100000, 14},
-	}
-	if want := scratchTier(100000); want != scratchTiers-1 {
-		t.Fatalf("open-ended tier index %d != scratchTiers-1 = %d", want, scratchTiers-1)
-	}
-	for _, c := range cases {
-		if got := scratchTier(c.n); got != c.tier {
-			t.Errorf("scratchTier(%d) = %d, want %d", c.n, got, c.tier)
-		}
-	}
-}
-
 // A pooled, heavily reused scratch must compute exactly what a fresh
 // one computes, across systems of different shapes interleaved in one
 // pool — the bit-identity contract the service layers rely on.
@@ -44,7 +18,7 @@ func TestScratchPoolReuseBitIdentical(t *testing.T) {
 		sys, hp, cs := randKernelCase(rng)
 		limit := cs + rng.Int63n(2000)
 		wantR, wantOK := NewScratch(sys).MigratingWCRT(cs, hp, limit, Dominance)
-		sc := pool.Get(sys, len(hp))
+		sc := pool.Get(sys)
 		gotR, gotOK := sc.MigratingWCRT(cs, hp, limit, Dominance)
 		pool.Put(sc)
 		if gotR != wantR || gotOK != wantOK {
@@ -59,7 +33,7 @@ func TestScratchPoolReuseBitIdentical(t *testing.T) {
 func TestScratchPoolPutDropsSystem(t *testing.T) {
 	pool := NewScratchPool()
 	sys := &System{M: 2, RTCores: [][]Demand{{{WCET: 1, Period: 10}}, nil}}
-	sc := pool.Get(sys, 4)
+	sc := pool.Get(sys)
 	if sc.sys != sys {
 		t.Fatal("Get(sys) did not prime the scratch")
 	}
@@ -83,7 +57,7 @@ func TestScratchPoolConcurrent(t *testing.T) {
 			for trial := 0; trial < 100; trial++ {
 				sys, hp, cs := randKernelCase(rng)
 				limit := cs + rng.Int63n(1500)
-				sc := pool.Get(sys, len(hp))
+				sc := pool.Get(sys)
 				gotR, gotOK := sc.MigratingWCRT(cs, hp, limit, Dominance)
 				pool.Put(sc)
 				wantR, wantOK := naiveMigratingWCRT(sys, cs, hp, limit)
@@ -118,7 +92,7 @@ func TestSelectPeriodsWithPooledScratch(t *testing.T) {
 	}
 	pool := NewScratchPool()
 	for trial := 0; trial < 10; trial++ {
-		sc := pool.Get(nil, len(ts.Security))
+		sc := pool.Get(nil)
 		got, err := SelectPeriodsCtxWith(t.Context(), ts, Options{}, sc)
 		pool.Put(sc)
 		if err != nil {

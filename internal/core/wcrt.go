@@ -62,7 +62,7 @@ const (
 // baselines) thread one Scratch through instead. Results are
 // identical either way.
 func (sys *System) MigratingWCRT(cs task.Time, hp []Interferer, limit task.Time, mode CarryInMode) (task.Time, bool) {
-	sc := DefaultScratchPool.Get(sys, max(len(hp), sys.rtCount()))
+	sc := DefaultScratchPool.Get(sys)
 	defer DefaultScratchPool.Put(sc)
 	return sc.MigratingWCRT(cs, hp, limit, mode)
 }
@@ -199,19 +199,10 @@ func (sys *System) migratingWCRTExhaustive(cs task.Time, hp []Interferer, limit 
 // task with implicit deadline must finish within its period, and is
 // hopeless past Tmax).
 func (sys *System) ResponseTimes(sec []task.SecurityTask, periods []task.Time, mode CarryInMode) []task.Time {
-	sc := DefaultScratchPool.Get(sys, max(len(sec), sys.rtCount()))
+	sc := DefaultScratchPool.Get(sys)
 	defer DefaultScratchPool.Put(sc)
 	sc.ensure(len(sec))
-	return sc.responseTimes(sec, periods, mode, make([]task.Time, 0, len(sec)))
-}
-
-// rtCount is the size of the partitioned RT band — the tier-hint
-// component the convenience wrappers use so a pooled scratch files
-// and fetches under the same class.
-func (sys *System) rtCount() int {
-	n := 0
-	for _, demands := range sys.RTCores {
-		n += len(demands)
-	}
-	return n
+	resp := make([]task.Time, len(sec))
+	sc.responseTimes(sec, periods, mode, resp, 0)
+	return resp
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"hydrac"
+	"hydrac/internal/faultfs"
 	"hydrac/internal/store"
 	"hydrac/internal/wal"
 )
@@ -407,6 +408,30 @@ func TestNoSyncCloseFlushes(t *testing.T) {
 	defer release2()
 	if got := setBytes(t, rec.Set()); !bytes.Equal(got, want) {
 		t.Fatal("NoSync store lost committed deltas across a graceful Close")
+	}
+}
+
+// NoSync drops only the per-commit WAL fsync. hydrad runs a -data-dir
+// store with -wal-sync=false as NoSync, that directory outlives the
+// process, and recovery trusts the newest snapshot, so a snapshot and
+// the directory entries of the snapshot and its first segment are
+// still synced: a failure of any of those syncs fails Create.
+func TestNoSyncStoreSyncsSnapshots(t *testing.T) {
+	ctx := context.Background()
+	a := newAnalyzer(t)
+	for _, r := range []faultfs.Rule{
+		{Op: faultfs.OpSync, Path: "snap-0.json"},
+		{Op: faultfs.OpSyncDir, Nth: 1}, // after the snapshot's rename
+		{Op: faultfs.OpSyncDir, Nth: 2}, // after the segment's creation
+	} {
+		s, err := store.Open(t.TempDir(), a, store.Options{NoSync: true, ProbeEvery: -1, FS: faultfs.Wrap(nil).Fail(r)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Create(ctx, "n", testBase()); !errors.Is(err, store.ErrStorage) {
+			t.Errorf("NoSync store with failing %s #%d: Create = %v, want ErrStorage", r.Op, r.Nth, err)
+		}
+		s.Close()
 	}
 }
 
