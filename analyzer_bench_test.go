@@ -229,6 +229,7 @@ func BenchmarkAdmitDelta(b *testing.B) {
 		b.Fatal(err)
 	}
 	d := benchDeltaMonitor()
+	rm := hydrac.Delta{Remove: []string{"probe_mon"}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, admitted, err := sess.Admit(ctx, d)
@@ -239,7 +240,7 @@ func BenchmarkAdmitDelta(b *testing.B) {
 			b.Fatal("probe monitor denied")
 		}
 		b.StopTimer()
-		if _, _, err := sess.Remove(ctx, "probe_mon"); err != nil {
+		if _, _, err := sess.Admit(ctx, rm); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()

@@ -26,8 +26,9 @@ type Hints struct {
 	Periods map[string]task.Time
 	// RTVerified tells the selector the caller has already established
 	// RT-band feasibility (Eq. 1 on every core) for this exact set, so
-	// the per-core RTA screen can be skipped. The incremental engine
-	// sets it after its memoized per-core check.
+	// the per-core RTA screen can be skipped. A session sets it when a
+	// delta neither adds nor removes an RT task, because its committed
+	// RT band already passed the screen.
 	RTVerified bool
 	// Prior, when set, is the exact output of a previous SCHEDULABLE
 	// selection the caller certifies (see Prior). Unlike Periods, which

@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"hydrac/internal/admit"
+	"hydrac"
 	"hydrac/internal/core"
 	"hydrac/internal/gen"
 	"hydrac/internal/oracle"
@@ -45,8 +45,8 @@ func largeBandConfig(cores, rtPer, secPer int) gen.Config {
 // (oracle.VerifySelection: verdict at Tmax, bit-identical response
 // vector, per-level minimality probes); the smallest cell additionally
 // runs the full binary-search oracle end to end, and one cell replays
-// the tail of the security band through the incremental admission
-// engine. The creep oracle itself is O(n·Tmax) probes and stays on the
+// the tail of the security band through an incremental admission
+// session. The creep oracle itself is O(n·Tmax) probes and stays on the
 // small-set corpus — its equivalence to the binary-search oracle is
 // established there.
 //
@@ -63,7 +63,7 @@ func TestDifferentialLargeN(t *testing.T) {
 		group                int
 		stride               int  // VerifySelection minimality sampling
 		fullOracle           bool // run oracle.SelectPeriodsLog end to end
-		deltaTail            int  // security tasks to replay through admit
+		deltaTail            int  // security tasks to replay through a session
 	}{
 		{64, 5, 3, 3, 1, true, 0},     // n=512, mid utilisation
 		{64, 5, 3, 8, 1, true, 0},     // n=512, near overload
@@ -136,8 +136,8 @@ func TestDifferentialLargeN(t *testing.T) {
 }
 
 // replayTail admits the last `tail` security tasks one at a time into
-// an engine seeded with the rest of the set, asserting each
-// intermediate result against a cold analysis — the large-n version of
+// a session seeded with the rest of the set, asserting each
+// intermediate report against a cold analysis — the large-n version of
 // incrementalReplay, kept to the tail so each step's cold reference
 // stays affordable.
 func replayTail(t *testing.T, ctx context.Context, ts *task.Set, cold *core.Result, tail int) {
@@ -145,27 +145,35 @@ func replayTail(t *testing.T, ctx context.Context, ts *task.Set, cold *core.Resu
 	if tail > len(ts.Security) {
 		tail = len(ts.Security)
 	}
-	head := ts.Clone()
-	head.Security = head.Security[:len(head.Security)-tail]
-	eng, _, err := admit.New(ctx, head, admit.Config{})
+	a, err := hydrac.New()
 	if err != nil {
-		t.Fatalf("engine rejected the head set: %v", err)
+		t.Fatal(err)
+	}
+	step := ts.Clone()
+	step.Security = step.Security[:len(step.Security)-tail]
+	sess, _, err := a.NewSession(ctx, step)
+	if err != nil {
+		t.Fatalf("session rejected the head set: %v", err)
 	}
 	for k := len(ts.Security) - tail; k < len(ts.Security); k++ {
 		s := ts.Security[k]
 		t0 := time.Now()
-		out, err := eng.Apply(ctx, task.Delta{AddSecurity: []task.SecurityTask{s}})
+		rep, admitted, err := sess.Admit(ctx, task.Delta{AddSecurity: []task.SecurityTask{s}})
 		if err != nil {
 			t.Fatalf("admitting %s: %v", s.Name, err)
 		}
 		deltaDur := time.Since(t0)
-		stepCold, err := core.SelectPeriods(out.Set, core.Options{})
+		step.Security = ts.Security[:k+1]
+		if rep.TaskSetHash != step.Hash() {
+			t.Fatalf("admitting %s: the session analysed a set other than the replayed prefix", s.Name)
+		}
+		stepCold, err := core.SelectPeriods(step, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameResult(t, "large-n incremental step", stepCold, out.Result.Schedulable, out.Result.Periods, out.Result.Resp)
-		t.Logf("  delta admit %s: %v (n=%d)", s.Name, deltaDur, len(out.Set.RT)+len(out.Set.Security))
-		if !out.Admitted {
+		sameReport(t, "large-n incremental step", stepCold, rep)
+		t.Logf("  delta admit %s: %v (n=%d)", s.Name, deltaDur, len(step.RT)+len(step.Security))
+		if !admitted {
 			if cold.Schedulable {
 				t.Fatalf("prefix through %s denied but the full set is schedulable", s.Name)
 			}

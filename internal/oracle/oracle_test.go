@@ -4,7 +4,7 @@ import (
 	"context"
 	"testing"
 
-	"hydrac/internal/admit"
+	"hydrac"
 	"hydrac/internal/core"
 	"hydrac/internal/gen"
 	"hydrac/internal/oracle"
@@ -52,10 +52,21 @@ func sameResult(t *testing.T, label string, want *core.Result, gotSched bool, go
 	}
 }
 
+// sameReport is sameResult over the verdicts of a session report.
+func sameReport(t *testing.T, label string, want *core.Result, rep *hydrac.Report) {
+	t.Helper()
+	periods := make([]task.Time, len(rep.Tasks))
+	resp := make([]task.Time, len(rep.Tasks))
+	for i, v := range rep.Tasks {
+		periods[i], resp[i] = v.Period, v.WCRT
+	}
+	sameResult(t, label, want, rep.Schedulable, periods, resp)
+}
+
 // TestDifferentialOracle cross-checks four implementations of period
 // selection on ~1k generated sets: Algorithm 2's binary search, its
-// linear-scan ablation, the from-scratch oracle, and the incremental
-// admission engine replaying the security band one task at a time.
+// linear-scan ablation, the from-scratch oracle, and an incremental
+// admission session replaying the security band one task at a time.
 // All four must agree bit for bit.
 func TestDifferentialOracle(t *testing.T) {
 	perGroup := 60
@@ -64,7 +75,7 @@ func TestDifferentialOracle(t *testing.T) {
 	}
 	ctx := context.Background()
 	const seedBase = 20260729
-	sets, unschedulable, verified := 0, 0, 0
+	sets, unschedulable := 0, 0
 	for _, cores := range []int{1, 2} {
 		cfg := smallConfig(cores)
 		for g := 0; g < cfg.Groups; g++ {
@@ -99,7 +110,7 @@ func TestDifferentialOracle(t *testing.T) {
 				if !cold.Schedulable {
 					unschedulable++
 				}
-				verified += incrementalReplay(t, ctx, ts, cold)
+				incrementalReplay(t, ctx, ts, cold)
 			}
 		}
 	}
@@ -109,47 +120,48 @@ func TestDifferentialOracle(t *testing.T) {
 	if unschedulable == 0 {
 		t.Error("corpus never exercised the unschedulable path")
 	}
-	if verified == 0 {
-		t.Error("incremental replay never hit the verification fast path")
-	}
-	t.Logf("%d sets (%d unschedulable), %d hinted verifications", sets, unschedulable, verified)
+	t.Logf("%d sets (%d unschedulable)", sets, unschedulable)
 }
 
-// incrementalReplay admits ts's security tasks one at a time into an
-// engine seeded with the RT band only, asserting every intermediate
-// and the final state against a cold analysis of the same set. Returns
-// the number of hint verifications the engine performed.
-func incrementalReplay(t *testing.T, ctx context.Context, ts *task.Set, cold *core.Result) int {
+// incrementalReplay admits ts's security tasks one at a time into a
+// session seeded with the RT band only, asserting every intermediate
+// and the final report against a cold analysis of the same set.
+func incrementalReplay(t *testing.T, ctx context.Context, ts *task.Set, cold *core.Result) {
 	t.Helper()
-	rtOnly := ts.Clone()
-	rtOnly.Security = nil
-	eng, _, err := admit.New(ctx, rtOnly, admit.Config{})
+	a, err := hydrac.New()
 	if err != nil {
-		t.Fatalf("engine rejected an RT band the generator partitioned: %v", err)
+		t.Fatal(err)
 	}
-	verified := 0
+	step := ts.Clone()
+	step.Security = nil
+	sess, _, err := a.NewSession(ctx, step)
+	if err != nil {
+		t.Fatalf("session rejected an RT band the generator partitioned: %v", err)
+	}
 	for i, s := range ts.Security {
-		out, err := eng.Apply(ctx, task.Delta{AddSecurity: []task.SecurityTask{s}})
+		rep, admitted, err := sess.Admit(ctx, task.Delta{AddSecurity: []task.SecurityTask{s}})
 		if err != nil {
 			t.Fatalf("admitting %s: %v", s.Name, err)
 		}
-		verified += out.Stats.Selection.Verified
-		stepCold, err := core.SelectPeriods(out.Set, core.Options{})
+		step.Security = ts.Security[:i+1]
+		if rep.TaskSetHash != step.Hash() {
+			t.Fatalf("admitting %s: the session analysed a set other than the replayed prefix", s.Name)
+		}
+		stepCold, err := core.SelectPeriods(step, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameResult(t, "incremental step", stepCold, out.Result.Schedulable, out.Result.Periods, out.Result.Resp)
-		if !out.Admitted {
+		sameReport(t, "incremental step", stepCold, rep)
+		if !admitted {
 			// A subset is already unschedulable; the full set must be
 			// too (admitting more tasks only adds interference).
 			if cold.Schedulable {
 				t.Fatalf("prefix through %s denied but the full set is schedulable", s.Name)
 			}
-			return verified
+			return
 		}
 		if i == len(ts.Security)-1 {
-			sameResult(t, "final incremental state", cold, out.Result.Schedulable, out.Result.Periods, out.Result.Resp)
+			sameReport(t, "final incremental state", cold, rep)
 		}
 	}
-	return verified
 }

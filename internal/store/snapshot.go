@@ -57,7 +57,7 @@ func writeSnapshot(fs faultfs.FS, dir string, gen uint64, set *hydrac.TaskSet, c
 // bytes land in path+".tmp", which is fsynced, renamed into place, and
 // the directory fsynced — a crash leaves either no file or a complete
 // one. A fixed temp name is safe because writers into one session
-// directory are serialised (the engine lock or the entry lock), and
+// directory are serialised (the session lock or the entry lock), and
 // the suffix keeps it invisible to readers until the rename.
 func writeFileAtomic(fs faultfs.FS, path string, payload []byte) error {
 	tmpPath := path + ".tmp"

@@ -1,13 +1,13 @@
 // Package store is the durable session tier of hydrad: a lifecycle
 // manager that gives every admission session (hydrac.Session) a
 // directory of snapshot + write-ahead-log state and recovers all of
-// them by replay on boot. Durability rides on the engine's own
-// semantics — Session.Log() is a committed delta log with
-// deterministic, oracle-pinned replay — so recovery is bit-identical
-// by construction: a recovered session re-analyses the same placed
-// set through the same equations and must produce byte-identical
-// reports, which the crash-injection tests assert against
-// uninterrupted sessions.
+// them by replay on boot. Durability rides on the session's own
+// semantics — its commit hook sees every committed delta, in commit
+// order, and a serial replay of those deltas is deterministic and
+// oracle-pinned — so recovery is bit-identical by construction: a
+// recovered session re-analyses the same placed set through the same
+// equations and must produce byte-identical reports, which the
+// crash-injection tests assert against uninterrupted sessions.
 //
 // Per-session on-disk layout (<root>/<id>/):
 //
@@ -15,7 +15,7 @@
 //	g<gen>-NNNNNNNN.wal  CRC-framed segments of committed deltas
 //
 // Commit ordering: the session's commit hook appends the delta to the
-// WAL (and fsyncs) BEFORE the engine installs the new state, so an
+// WAL (and fsyncs) BEFORE the session installs the new state, so an
 // acknowledged commit is always on disk; a crash between append and
 // acknowledgement replays a delta the client never heard about, which
 // is harmless — replay converges on the same committed state. Every
@@ -619,7 +619,7 @@ func (s *Store) install(e *entry, sess *hydrac.Session, l *wal.Log, gen uint64, 
 }
 
 // hookFor builds e's commit hook: append-and-fsync the delta, then
-// compact if the generation is full. Runs under the engine lock (so
+// compact if the generation is full. Runs under the session lock (so
 // appends are in commit order) with e.mu read-held by the operation
 // that triggered it.
 func (s *Store) hookFor(e *entry) hydrac.CommitHook {

@@ -9,9 +9,9 @@ import (
 // Delta is one admission request against a live task set: tasks to
 // remove (by name) and tasks to add, applied in that order so a
 // replace is expressed as a remove and an add of the same name in one
-// delta. Deltas are the unit of the incremental admission engine
-// (internal/admit): a session applies a sequence of deltas and the
-// engine re-analyses only what each delta can affect.
+// delta. Deltas are the unit of incremental admission
+// (hydrac.Session): a session applies a sequence of deltas and
+// re-analyses only what each delta can affect.
 //
 // Unlike whole-set files, delta tasks never receive defaulted
 // priorities: rate-monotonic or max-period-monotonic renumbering is a
@@ -20,7 +20,7 @@ import (
 type Delta struct {
 	// Remove lists task names (RT or security) to drop first.
 	Remove []string
-	// AddRT lists real-time tasks to add. Core -1 asks the engine to
+	// AddRT lists real-time tasks to add. Core -1 asks the session to
 	// place the task with its partitioning heuristic.
 	AddRT []RTTask
 	// AddSecurity lists security tasks to add. Priorities must be
@@ -34,8 +34,8 @@ func (d *Delta) Empty() bool {
 }
 
 // RemovalOnly reports whether the delta only drops tasks. Removals
-// never make a schedulable set unschedulable, so the admission engine
-// commits them unconditionally.
+// never make a schedulable set unschedulable, so a session commits
+// them unconditionally.
 func (d *Delta) RemovalOnly() bool {
 	return len(d.Remove) > 0 && len(d.AddRT) == 0 && len(d.AddSecurity) == 0
 }

@@ -95,33 +95,3 @@ func TestDeltaPredicates(t *testing.T) {
 		t.Error("delta with adds classified as removal-only")
 	}
 }
-
-func TestCoreHash(t *testing.T) {
-	a := []RTTask{
-		{Name: "a", WCET: 2, Period: 10, Deadline: 10, Core: 0, Priority: 0},
-		{Name: "b", WCET: 3, Period: 20, Deadline: 15, Core: 0, Priority: 1},
-	}
-	// Names and core indices do not enter Eq. 1: a renamed copy on a
-	// different core must share the cache entry.
-	b := []RTTask{
-		{Name: "x", WCET: 2, Period: 10, Deadline: 10, Core: 3, Priority: 0},
-		{Name: "y", WCET: 3, Period: 20, Deadline: 15, Core: 3, Priority: 1},
-	}
-	if CoreHash(a) != CoreHash(b) {
-		t.Error("renamed/relocated core hashed differently")
-	}
-	// Any analysis-relevant change must change the hash.
-	c := append([]RTTask(nil), a...)
-	c[1].Deadline = 14
-	if CoreHash(a) == CoreHash(c) {
-		t.Error("deadline change did not change the hash")
-	}
-	// Order is significant (the input is priority-sorted).
-	d := []RTTask{a[1], a[0]}
-	if CoreHash(a) == CoreHash(d) {
-		t.Error("reordered core hashed identically")
-	}
-	if CoreHash(nil) == CoreHash(a) {
-		t.Error("empty core collides with a populated one")
-	}
-}

@@ -6,31 +6,6 @@ import (
 	"encoding/hex"
 )
 
-// CoreHash returns a canonical content hash of one core's RT tasks,
-// which must arrive priority-sorted as Set.RTOnCore produces them. It
-// keys the per-core fixpoint cache of the incremental admission
-// engine: the uniprocessor RTA verdict of a core is fully determined
-// by the (WCET, Period, Deadline, Priority) tuples hashed here, so two
-// cores with the same parameters — across deltas, sessions, or even
-// different core indices — share one cache entry. Names and core
-// indices are deliberately excluded: they do not enter Eq. 1.
-func CoreHash(rt []RTTask) string {
-	h := sha256.New()
-	var buf [8]byte
-	num := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
-	num(int64(len(rt)))
-	for _, t := range rt {
-		num(t.WCET)
-		num(t.Period)
-		num(t.Deadline)
-		num(int64(t.Priority))
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // Hash returns a canonical content hash of the set: two sets hash
 // equally iff every analysis-relevant field (core count and all task
 // parameters, in slice order) is identical. It is the cache key for

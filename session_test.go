@@ -87,15 +87,16 @@ func TestSessionReportsByteIdenticalToColdAnalyze(t *testing.T) {
 	}
 	check("admit rt", rep)
 
-	rep, admitted, err = sess.Update(ctx, hydrac.Delta{
+	rep, admitted, err = sess.Admit(ctx, hydrac.Delta{
+		Remove:      []string{"sec2"},
 		AddSecurity: []hydrac.SecurityTask{{Name: "sec2", WCET: 2, MaxPeriod: 280, Core: -1, Priority: 2}},
 	})
 	if err != nil || !admitted {
-		t.Fatalf("update: admitted=%v err=%v", admitted, err)
+		t.Fatalf("replace: admitted=%v err=%v", admitted, err)
 	}
-	check("update", rep)
+	check("replace", rep)
 
-	rep, admitted, err = sess.Remove(ctx, "sec0", "rt3")
+	rep, admitted, err = sess.Admit(ctx, hydrac.Delta{Remove: []string{"sec0", "rt3"}})
 	if err != nil || !admitted {
 		t.Fatalf("remove: admitted=%v err=%v", admitted, err)
 	}
@@ -127,7 +128,7 @@ func TestSessionDifferentialOnGeneratedSet(t *testing.T) {
 		if len(names) > 0 && rng.Intn(2) == 0 {
 			last := names[len(names)-1]
 			names = names[:len(names)-1]
-			rep, committed, err = sess.Remove(ctx, last)
+			rep, committed, err = sess.Admit(ctx, hydrac.Delta{Remove: []string{last}})
 		} else {
 			name := fmt.Sprintf("probe%02d", step)
 			rep, committed, err = sess.Admit(ctx, hydrac.Delta{AddSecurity: []hydrac.SecurityTask{{
@@ -157,9 +158,9 @@ func TestSessionDifferentialOnGeneratedSet(t *testing.T) {
 	}
 }
 
-// Satellite: concurrent Admit/Remove against one Analyzer's session
-// under -race. The committed log must replay serially to the identical
-// final state and report.
+// Concurrent admissions and removals against one Analyzer's session
+// under -race. The deltas the commit hook saw must replay serially to
+// the identical final state and report.
 func TestSessionConcurrentAdmitRemoveMatchesSerialReplay(t *testing.T) {
 	ctx := context.Background()
 	a, err := hydrac.New()
@@ -170,6 +171,7 @@ func TestSessionConcurrentAdmitRemoveMatchesSerialReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	committed := recordCommits(sess)
 	const goroutines = 8
 	const opsPer = 6
 	var wg sync.WaitGroup
@@ -189,7 +191,8 @@ func TestSessionConcurrentAdmitRemoveMatchesSerialReplay(t *testing.T) {
 					return
 				}
 				if k%2 == 1 { // remove the previous one, keep churn going
-					if _, _, err := sess.Remove(ctx, fmt.Sprintf("mon_g%d_k%d", g, k-1)); err != nil {
+					prev := fmt.Sprintf("mon_g%d_k%d", g, k-1)
+					if _, _, err := sess.Admit(ctx, hydrac.Delta{Remove: []string{prev}}); err != nil {
 						errs <- fmt.Errorf("remove: %w", err)
 						return
 					}
@@ -203,13 +206,13 @@ func TestSessionConcurrentAdmitRemoveMatchesSerialReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Serial replay of the committed log over the same base.
+	// Serial replay of the committed deltas over the same base.
 	replay, _, err := a.NewSession(ctx, sessionBase())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var lastRep *hydrac.Report
-	for i, d := range sess.Log() {
+	for i, d := range *committed {
 		var committed bool
 		lastRep, committed, err = replay.Admit(ctx, d)
 		if err != nil || !committed {
@@ -240,6 +243,7 @@ func TestSessionDenialKeepsState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	committed := recordCommits(sess)
 	before := sess.Set().Hash()
 	rep, admitted, err := sess.Admit(ctx, hydrac.Delta{
 		AddSecurity: []hydrac.SecurityTask{{Name: "hog", WCET: 190, MaxPeriod: 200, Core: -1, Priority: 9}},
@@ -253,23 +257,58 @@ func TestSessionDenialKeepsState(t *testing.T) {
 	if sess.Set().Hash() != before {
 		t.Fatal("denied admission mutated the session")
 	}
-	if len(sess.Log()) != 0 {
-		t.Fatal("denied admission logged")
+	if len(*committed) != 0 {
+		t.Fatal("denied admission reached the commit hook")
 	}
 }
 
-// Update of a task that was never admitted must fail loudly rather
-// than silently turning into an Admit.
-func TestSessionUpdateRequiresExistingTask(t *testing.T) {
+// recordCommits installs a commit hook that records every committed
+// delta. The hook runs under the session lock, so appends are
+// serialized; read the slice only once no Admit is in flight. The
+// tests never reuse a delta after passing it, so the hook may keep it.
+func recordCommits(sess *hydrac.Session) *[]hydrac.Delta {
+	var committed []hydrac.Delta
+	sess.SetCommitHook(func(d hydrac.Delta, _ *hydrac.TaskSet, _ int) error {
+		committed = append(committed, d)
+		return nil
+	})
+	return &committed
+}
+
+// A pinned RT task skips placement, so only the Eq. 1 screen can reject
+// it: the delta must fail without touching the session, and the session
+// must keep admitting afterwards with reports identical to cold.
+func TestSessionPinnedRTDeltaFailingEq1(t *testing.T) {
 	ctx := context.Background()
-	a, _ := hydrac.New()
+	a, err := hydrac.New()
+	if err != nil {
+		t.Fatal(err)
+	}
 	sess, _, err := a.NewSession(ctx, sessionBase())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := sess.Update(ctx, hydrac.Delta{
-		AddSecurity: []hydrac.SecurityTask{{Name: "ghost", WCET: 1, MaxPeriod: 100, Core: -1, Priority: 7}},
+	before := sess.Set().Hash()
+	if _, _, err := sess.Admit(ctx, hydrac.Delta{
+		AddRT: []hydrac.RTTask{{Name: "pin", WCET: 15, Period: 20, Deadline: 20, Core: 0, Priority: 5}},
 	}); err == nil {
-		t.Fatal("update of an unknown task succeeded")
+		t.Fatal("pinned RT task failing Eq. 1 was admitted")
+	}
+	if sess.Set().Hash() != before {
+		t.Fatal("failed RT delta mutated the session")
+	}
+	rep, admitted, err := sess.Admit(ctx, hydrac.Delta{
+		AddSecurity: []hydrac.SecurityTask{{Name: "sec2", WCET: 1, MaxPeriod: 300, Core: -1, Priority: 2}},
+	})
+	if err != nil || !admitted {
+		t.Fatalf("admit security after a failed RT delta: admitted=%v err=%v", admitted, err)
+	}
+	cold, err := a.Analyze(ctx, sess.Set())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(canonicalBytes(t, rep), canonicalBytes(t, cold)) {
+		t.Fatalf("session report differs from cold Analyze:\nsession: %s\ncold:    %s",
+			canonicalBytes(t, rep), canonicalBytes(t, cold))
 	}
 }
