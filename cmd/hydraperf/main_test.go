@@ -20,26 +20,19 @@ func writeTree(t *testing.T) string {
 	if err := os.MkdirAll(caseDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	profile := `kind: load
-concurrency: [2]
-duration: 120ms
-mix:
-  dup: 1
-daemon:
-  cache: 64
-  sessions: 16
-workload:
-  cores: 4
-  group: 3
-  seed: 3
-  sets: 2
-  batch: 2
+	body := `{
+  "why": "a fast dup-traffic case for the harness self-tests",
+  "kind": "load",
+  "concurrency": [2],
+  "duration": "120ms",
+  "mix": {"dup": 1},
+  "daemon": {"cache": 64},
+  "workload": {"cores": 4, "group": 3, "seed": 3, "sets": 2, "batch": 2},
+  "optimization_goal": "throughput",
+  "tolerance": 0.40
+}
 `
-	experiment := "optimization_goal: throughput\ntolerance: 0.40\n"
-	if err := os.WriteFile(filepath.Join(caseDir, "profile.yaml"), []byte(profile), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(caseDir, "experiment.yaml"), []byte(experiment), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(caseDir, "case.json"), []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return tree

@@ -28,16 +28,6 @@ func (r *ModuleRegistry) Insert(name string) { r.loaded[name] = true }
 // Remove unloads a module.
 func (r *ModuleRegistry) Remove(name string) { delete(r.loaded, name) }
 
-// Loaded returns the sorted module list.
-func (r *ModuleRegistry) Loaded() []string {
-	out := make([]string, 0, len(r.loaded))
-	for m := range r.loaded {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ModuleChecker is the expected-profile comparator.
 type ModuleChecker struct {
 	expected map[string]bool

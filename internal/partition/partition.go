@@ -88,63 +88,65 @@ func AssignCtx(ctx context.Context, ts *task.Set, h Heuristic) error {
 	cores := make([][]task.RTTask, ts.Cores)
 	util := make([]float64, ts.Cores)
 	assigned := make([]int, len(ts.RT))
-	last := 0 // next-fit cursor
+	cursor := 0
 
 	for _, i := range order {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		t := ts.RT[i]
-		best := -1
-		var bestKey float64
-		try := func(m int) {
-			if !fits(cores[m], t) {
-				return
-			}
-			switch h {
-			case FirstFit:
-				if best == -1 {
-					best = m
-				}
-			case BestFit:
-				// least remaining capacity = highest utilisation.
-				if best == -1 || util[m] > bestKey {
-					best, bestKey = m, util[m]
-				}
-			case WorstFit:
-				if best == -1 || util[m] < bestKey {
-					best, bestKey = m, util[m]
-				}
-			case NextFit:
-				if best == -1 {
-					best = m
-				}
-			}
-		}
-		if h == NextFit {
-			for k := 0; k < ts.Cores && best == -1; k++ {
-				try((last + k) % ts.Cores)
-			}
-			if best != -1 {
-				last = best
-			}
-		} else {
-			for m := 0; m < ts.Cores; m++ {
-				try(m)
-			}
-		}
-		if best == -1 {
+		m, next := Place(h, cores, util, cursor, t)
+		if m < 0 {
 			return ErrInfeasible{Task: t.Name}
 		}
-		t.Core = best
-		cores[best] = insertByPriority(cores[best], t)
-		util[best] += t.Utilization()
-		assigned[i] = best
+		t.Core, cursor = m, next
+		cores[m] = insertByPriority(cores[m], t)
+		util[m] += t.Utilization()
+		assigned[i] = m
 	}
 	for i := range ts.RT {
 		ts.RT[i].Core = assigned[i]
 	}
 	return nil
+}
+
+// Place picks a core for t under h without moving any task already
+// placed: cores[m] holds core m's tasks sorted by priority (highest
+// first), util[m] their utilisation and cursor the next-fit rotation
+// state. It returns the chosen core, or -1 when no core stays
+// schedulable under Eq. 1 with t added, and the cursor for the next
+// placement. Adding t to the core is left to the caller, which keeps
+// util in its own summation order: the float sums decide best- and
+// worst-fit comparisons, so placements stay bit-identical per caller.
+func Place(h Heuristic, cores [][]task.RTTask, util []float64, cursor int, t task.RTTask) (core, next int) {
+	n := len(cores)
+	if h == NextFit {
+		for k := 0; k < n; k++ {
+			if m := (cursor + k) % n; fits(cores[m], t) {
+				return m, m
+			}
+		}
+		return -1, cursor
+	}
+	best := -1
+	for m := 0; m < n; m++ {
+		switch h {
+		case FirstFit:
+			if fits(cores[m], t) {
+				return m, cursor
+			}
+		case BestFit:
+			// least remaining capacity = highest utilisation.
+			if (best == -1 || util[m] > util[best]) && fits(cores[m], t) {
+				best = m
+			}
+		case WorstFit:
+			if (best == -1 || util[m] < util[best]) && fits(cores[m], t) {
+				best = m
+			}
+		}
+	}
+	return best, cursor
 }
 
 // fits reports whether adding t to the core keeps every task on the

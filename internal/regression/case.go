@@ -82,83 +82,98 @@ const (
 	MixSession = "session" // per-worker admission session, alternating admit/remove
 )
 
-// Profile is a case's profile.yaml: how to generate load (or which
-// benchmark to sample).
+// Profile is how a case generates load (or which benchmark it
+// samples). Kind selects which of the two embedded key sets the
+// case's case.json may use.
 type Profile struct {
 	Kind string
-
-	// Load profiles.
-	Concurrency []int
-	Duration    time.Duration
-	Mix         map[string]int // mix kind → weight
-	Daemon      DaemonOpts
-	Workload    Workload
-	// Retries routes the load through the retrying client
-	// (internal/hydraclient): up to Retries extra attempts per request
-	// with capped backoff, Retry-After honoured. 0 fires once.
-	Retries int
-
-	// Gobench profiles.
-	Package   string
-	Bench     string
-	Benchtime string
+	LoadProfile
+	BenchProfile
 }
 
-// DaemonOpts configures the hydrad instance a load sample boots.
+// LoadProfile is the key set of a load case.
+type LoadProfile struct {
+	Concurrency []int          `json:"concurrency"`
+	Duration    Duration       `json:"duration"`
+	Mix         map[string]int `json:"mix"` // mix kind → weight
+	Daemon      DaemonOpts     `json:"daemon"`
+	Workload    Workload       `json:"workload"`
+}
+
+// BenchProfile is the key set of a gobench case.
+type BenchProfile struct {
+	Package   string `json:"package"`
+	Bench     string `json:"bench"`
+	Benchtime string `json:"benchtime"`
+}
+
+// DaemonOpts configures the hydrad instance a load sample boots. Its
+// session store keeps hydrad's default live window (-sessions 256).
 type DaemonOpts struct {
-	Cache int
-	// Sessions is the session store's live window (-sessions).
-	Sessions int
+	Cache int `json:"cache"`
 	// DataDir, when true, boots the daemon with a fresh temporary
 	// -data-dir — the session store with WAL fsync on every commit —
 	// instead of the unsynced temporary store hydrad opens without it.
 	// A base build predating the flag makes the sample (and the case)
 	// skip, not fail.
-	DataDir bool
+	DataDir bool `json:"data_dir"`
 	// MaxInflight, when positive, arms the daemon's admission gate
 	// (-max-inflight): excess load is shed with 429 instead of queued
 	// unboundedly. MaxQueue and QueueWait tune the gate's wait queue
-	// and default to hydrad's own defaults at parse time, so both
+	// and default to hydrad's own defaults at load time, so both
 	// target kinds boot identical gates. A base build predating the
 	// flags makes the sample skip, not fail.
-	MaxInflight int
-	MaxQueue    int
-	QueueWait   time.Duration
+	MaxInflight int      `json:"max_inflight"`
+	MaxQueue    int      `json:"max_queue"`
+	QueueWait   Duration `json:"queue_wait"`
 	// Fleet, when >= 2, boots that many daemon instances joined into a
 	// consistent-hash fleet (-peers/-self): load spreads round-robin
 	// over the nodes and 307 ownership redirects are followed, so the
 	// sample measures routed-fleet cost, not a single node. A base
 	// build predating the fleet flags makes the sample skip, not fail.
-	Fleet int
+	Fleet int `json:"fleet"`
 }
 
 // Workload parameterises the input task-set generator (internal/gen,
 // the paper's Table 3 shape) for load profiles.
 type Workload struct {
 	// Cores is M; the generator scales task counts with it.
-	Cores int
+	Cores int `json:"cores"`
 	// Group is the utilisation group (0–9): group g covers normalised
 	// utilisation ≈ (0.01+0.1g, 0.1+0.1g]. High groups approach
 	// overload.
-	Group int
+	Group int `json:"group"`
 	// Seed derives the deterministic per-set RNG streams.
-	Seed int64
+	Seed int64 `json:"seed"`
 	// Sets is the pool size of distinct task sets (cold/batch mixes).
-	Sets int
+	Sets int `json:"sets"`
 	// Batch is the number of task sets per batch request.
-	Batch int
+	Batch int `json:"batch"`
 }
 
-// Experiment is a case's experiment.yaml: the single optimization
-// goal plus gate tuning.
+// Duration is a time.Duration written in case files as a Go duration
+// string ("400ms").
+type Duration time.Duration
+
+func (d *Duration) UnmarshalJSON(b []byte) error {
+	var s string
+	if err := json.Unmarshal(b, &s); err != nil {
+		return err
+	}
+	v, err := time.ParseDuration(s)
+	*d = Duration(v)
+	return err
+}
+
+func (d Duration) String() string { return time.Duration(d).String() }
+
+// Experiment is a case's single optimization goal plus gate tuning.
 type Experiment struct {
-	Goal Goal
+	Goal Goal `json:"optimization_goal"`
 	// Tolerance is the relative change treated as within noise even
 	// when statistically significant (e.g. 0.05 = ±5%). Significant
 	// changes smaller than this never flip the gate.
-	Tolerance float64
-	// Alpha is the significance level of the Mann–Whitney test.
-	Alpha float64
+	Tolerance float64 `json:"tolerance"`
 }
 
 // Case is one loaded experiment directory.
@@ -169,12 +184,8 @@ type Case struct {
 	Experiment Experiment
 }
 
-// Defaults applied during load.
-const (
-	defaultTolerance = 0.05
-	defaultAlpha     = 0.05
-	defaultBenchtime = "100x"
-)
+// alpha is the significance level of every case's Mann–Whitney test.
+const alpha = 0.05
 
 // LoadCases reads and validates every case under dir (the cases/
 // directory of a regression tree). Names is an optional filter; empty
@@ -223,271 +234,100 @@ func LoadCases(dir string, names []string) ([]Case, error) {
 
 func loadCase(dir string) (Case, error) {
 	c := Case{Name: filepath.Base(dir), Dir: dir}
-	prof, err := readYAMLFile(filepath.Join(dir, "profile.yaml"))
+	raw, err := os.ReadFile(filepath.Join(dir, "case.json"))
 	if err != nil {
 		return c, err
 	}
-	exp, err := readYAMLFile(filepath.Join(dir, "experiment.yaml"))
-	if err != nil {
-		return c, err
+	if err := decodeCase(raw, &c); err != nil {
+		return c, fmt.Errorf("case.json: %w", err)
 	}
-	if c.Profile, err = parseProfile(prof); err != nil {
-		return c, fmt.Errorf("profile.yaml: %w", err)
-	}
-	if c.Experiment, err = parseExperiment(exp); err != nil {
-		return c, fmt.Errorf("experiment.yaml: %w", err)
-	}
-	if err := c.validate(); err != nil {
-		return c, err
-	}
-	return c, nil
+	return c, c.validate()
 }
 
-func readYAMLFile(path string) (map[string]any, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
+// decodeCase fills c's profile and experiment from a case.json
+// document: defaults first, then the file's keys over them. Only the
+// keys of the file's kind decode — an unknown key, such as a typo or a
+// load key in a gobench case, is an error, as is a repeated key.
+func decodeCase(raw []byte, c *Case) error {
+	head := struct {
+		Kind string `json:"kind"`
+	}{KindLoad}
+	if err := json.Unmarshal(raw, &head); err != nil {
+		return err
 	}
-	doc, err := parseYAML(string(raw))
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", filepath.Base(path), err)
+	if err := noRepeatedKeys(raw); err != nil {
+		return err
 	}
-	return doc, nil
-}
-
-// fields wraps the decoded YAML tree with typed, key-tracking access
-// so unknown keys become load errors (a typo in a case file must not
-// silently change the experiment).
-type fields struct {
-	m    map[string]any
-	seen map[string]bool
-}
-
-func newFields(m map[string]any) *fields { return &fields{m: m, seen: map[string]bool{}} }
-
-func (f *fields) get(key string) (any, bool) {
-	v, ok := f.m[key]
-	f.seen[key] = true
-	return v, ok
-}
-
-func (f *fields) unknown() error {
-	var extra []string
-	for k := range f.m {
-		if !f.seen[k] {
-			extra = append(extra, k)
-		}
-	}
-	if len(extra) > 0 {
-		sort.Strings(extra)
-		return fmt.Errorf("unknown keys: %s", strings.Join(extra, ", "))
-	}
-	return nil
-}
-
-func (f *fields) str(key, def string) (string, error) {
-	v, ok := f.get(key)
-	if !ok {
-		return def, nil
-	}
-	s, ok := v.(string)
-	if !ok {
-		return "", fmt.Errorf("%s: want a string, got %v", key, v)
-	}
-	return s, nil
-}
-
-func (f *fields) integer(key string, def int) (int, error) {
-	v, ok := f.get(key)
-	if !ok {
-		return def, nil
-	}
-	n, ok := v.(int64)
-	if !ok {
-		return 0, fmt.Errorf("%s: want an integer, got %v", key, v)
-	}
-	return int(n), nil
-}
-
-func (f *fields) boolean(key string, def bool) (bool, error) {
-	v, ok := f.get(key)
-	if !ok {
-		return def, nil
-	}
-	b, ok := v.(bool)
-	if !ok {
-		return false, fmt.Errorf("%s: want true or false, got %v", key, v)
-	}
-	return b, nil
-}
-
-func (f *fields) float(key string, def float64) (float64, error) {
-	v, ok := f.get(key)
-	if !ok {
-		return def, nil
-	}
-	switch x := v.(type) {
-	case float64:
-		return x, nil
-	case int64:
-		return float64(x), nil
-	}
-	return 0, fmt.Errorf("%s: want a number, got %v", key, v)
-}
-
-func (f *fields) sub(key string) (*fields, error) {
-	v, ok := f.get(key)
-	if !ok {
-		return newFields(map[string]any{}), nil
-	}
-	m, ok := v.(map[string]any)
-	if !ok {
-		return nil, fmt.Errorf("%s: want a mapping, got %v", key, v)
-	}
-	return newFields(m), nil
-}
-
-func (f *fields) intList(key string) ([]int, error) {
-	v, ok := f.get(key)
-	if !ok {
-		return nil, nil
-	}
-	seq, ok := v.([]any)
-	if !ok {
-		return nil, fmt.Errorf("%s: want a sequence, got %v", key, v)
-	}
-	out := make([]int, len(seq))
-	for i, item := range seq {
-		n, ok := item.(int64)
-		if !ok {
-			return nil, fmt.Errorf("%s[%d]: want an integer, got %v", key, i, item)
-		}
-		out[i] = int(n)
-	}
-	return out, nil
-}
-
-func parseProfile(doc map[string]any) (Profile, error) {
-	f := newFields(doc)
-	var p Profile
-	var err error
-	if p.Kind, err = f.str("kind", KindLoad); err != nil {
-		return p, err
-	}
+	p := &c.Profile
+	p.Kind = head.Kind
+	c.Experiment = Experiment{Tolerance: 0.05}
+	common := caseHead{Experiment: &c.Experiment}
+	var file any
 	switch p.Kind {
 	case KindLoad:
-		if p.Concurrency, err = f.intList("concurrency"); err != nil {
-			return p, err
+		p.LoadProfile = LoadProfile{
+			Duration: Duration(500 * time.Millisecond),
+			Daemon:   DaemonOpts{Cache: 1024, MaxQueue: 64, QueueWait: Duration(hydradhttp.DefaultQueueWait)},
+			Workload: Workload{Cores: 4, Group: 4, Seed: 1, Sets: 32, Batch: 8},
 		}
-		durS, err := f.str("duration", "500ms")
-		if err != nil {
-			return p, err
-		}
-		if p.Duration, err = time.ParseDuration(durS); err != nil {
-			return p, fmt.Errorf("duration: %w", err)
-		}
-		mixF, err := f.sub("mix")
-		if err != nil {
-			return p, err
-		}
-		p.Mix = map[string]int{}
-		for kind := range mixF.m {
-			w, err := mixF.integer(kind, 0)
-			if err != nil {
-				return p, fmt.Errorf("mix: %w", err)
-			}
-			p.Mix[kind] = w
-		}
-		dF, err := f.sub("daemon")
-		if err != nil {
-			return p, err
-		}
-		if p.Daemon.Cache, err = dF.integer("cache", 1024); err != nil {
-			return p, err
-		}
-		if p.Daemon.Sessions, err = dF.integer("sessions", 256); err != nil {
-			return p, err
-		}
-		if p.Daemon.DataDir, err = dF.boolean("data_dir", false); err != nil {
-			return p, err
-		}
-		if p.Daemon.MaxInflight, err = dF.integer("max_inflight", 0); err != nil {
-			return p, err
-		}
-		if p.Daemon.MaxQueue, err = dF.integer("max_queue", 64); err != nil {
-			return p, err
-		}
-		if p.Daemon.Fleet, err = dF.integer("fleet", 0); err != nil {
-			return p, err
-		}
-		waitS, err := dF.str("queue_wait", hydradhttp.DefaultQueueWait.String())
-		if err != nil {
-			return p, err
-		}
-		if p.Daemon.QueueWait, err = time.ParseDuration(waitS); err != nil {
-			return p, fmt.Errorf("daemon: queue_wait: %w", err)
-		}
-		if err := dF.unknown(); err != nil {
-			return p, fmt.Errorf("daemon: %w", err)
-		}
-		if p.Retries, err = f.integer("retries", 0); err != nil {
-			return p, err
-		}
-		wF, err := f.sub("workload")
-		if err != nil {
-			return p, err
-		}
-		if p.Workload.Cores, err = wF.integer("cores", 4); err != nil {
-			return p, err
-		}
-		if p.Workload.Group, err = wF.integer("group", 4); err != nil {
-			return p, err
-		}
-		seed, err := wF.integer("seed", 1)
-		if err != nil {
-			return p, err
-		}
-		p.Workload.Seed = int64(seed)
-		if p.Workload.Sets, err = wF.integer("sets", 32); err != nil {
-			return p, err
-		}
-		if p.Workload.Batch, err = wF.integer("batch", 8); err != nil {
-			return p, err
-		}
-		if err := wF.unknown(); err != nil {
-			return p, fmt.Errorf("workload: %w", err)
-		}
+		file = &struct {
+			caseHead
+			*LoadProfile
+		}{common, &p.LoadProfile}
 	case KindGobench:
-		if p.Package, err = f.str("package", "."); err != nil {
-			return p, err
-		}
-		if p.Bench, err = f.str("bench", ""); err != nil {
-			return p, err
-		}
-		if p.Benchtime, err = f.str("benchtime", defaultBenchtime); err != nil {
-			return p, err
-		}
+		p.BenchProfile = BenchProfile{Package: ".", Benchtime: "100x"}
+		file = &struct {
+			caseHead
+			*BenchProfile
+		}{common, &p.BenchProfile}
 	default:
-		return p, fmt.Errorf("kind: %q (want %s or %s)", p.Kind, KindLoad, KindGobench)
+		return fmt.Errorf("kind: %q (want %s or %s)", p.Kind, KindLoad, KindGobench)
 	}
-	return p, f.unknown()
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	return dec.Decode(file)
 }
 
-func parseExperiment(doc map[string]any) (Experiment, error) {
-	f := newFields(doc)
-	var e Experiment
-	goal, err := f.str("optimization_goal", "")
-	if err != nil {
-		return e, err
+// caseHead is the part of a case.json every kind shares.
+type caseHead struct {
+	Why  string `json:"why"` // prose for the reader; no code reads it
+	Kind string `json:"kind"`
+	*Experiment
+}
+
+// noRepeatedKeys rejects a document in which some object names a key
+// twice, which encoding/json would accept by keeping the last value.
+func noRepeatedKeys(raw []byte) error {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	var walk func() error
+	walk = func() error {
+		tok, err := dec.Token()
+		if err != nil {
+			return err
+		}
+		if tok != json.Delim('{') && tok != json.Delim('[') {
+			return nil
+		}
+		seen := map[string]bool{}
+		for dec.More() {
+			if tok == json.Delim('{') {
+				key, err := dec.Token()
+				if err != nil {
+					return err
+				}
+				if seen[key.(string)] {
+					return fmt.Errorf("repeated key %q", key)
+				}
+				seen[key.(string)] = true
+			}
+			if err := walk(); err != nil {
+				return err
+			}
+		}
+		_, err = dec.Token() // the closing delimiter
+		return err
 	}
-	e.Goal = Goal(goal)
-	if e.Tolerance, err = f.float("tolerance", defaultTolerance); err != nil {
-		return e, err
-	}
-	if e.Alpha, err = f.float("alpha", defaultAlpha); err != nil {
-		return e, err
-	}
-	return e, f.unknown()
+	return walk()
 }
 
 // validate enforces the cross-field rules a runnable case must meet.
@@ -502,15 +342,12 @@ func (c *Case) validate() error {
 			return fmt.Errorf("goal %s requires a gobench profile (per-op metrics are not observable over HTTP)", c.Experiment.Goal)
 		}
 	case "":
-		return fmt.Errorf("experiment.yaml must name an optimization_goal (throughput, p99, allocs or nsop)")
+		return fmt.Errorf("case.json must name an optimization_goal (throughput, p99, allocs or nsop)")
 	default:
 		return fmt.Errorf("unknown optimization_goal %q (want throughput, p99, allocs or nsop)", c.Experiment.Goal)
 	}
 	if c.Experiment.Tolerance < 0 || c.Experiment.Tolerance >= 1 {
 		return fmt.Errorf("tolerance %v out of range [0, 1)", c.Experiment.Tolerance)
-	}
-	if c.Experiment.Alpha <= 0 || c.Experiment.Alpha >= 1 {
-		return fmt.Errorf("alpha %v out of range (0, 1)", c.Experiment.Alpha)
 	}
 	switch c.Profile.Kind {
 	case KindLoad:
@@ -548,9 +385,6 @@ func (c *Case) validate() error {
 		}
 		if d.Fleet != 0 && (d.Fleet < 2 || d.Fleet > 8) {
 			return fmt.Errorf("fleet %d out of range (0 for a single node, or 2..8 members)", d.Fleet)
-		}
-		if c.Profile.Retries < 0 {
-			return fmt.Errorf("retries %d < 0", c.Profile.Retries)
 		}
 	case KindGobench:
 		if c.Profile.Bench == "" {

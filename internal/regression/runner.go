@@ -73,7 +73,7 @@ func (r *Runner) RunCase(c Case) CaseResult {
 		BaseSHA:   r.Base.SHA,
 		HeadSHA:   r.Head.SHA,
 		Samples:   r.samples(),
-		Alpha:     c.Experiment.Alpha,
+		Alpha:     alpha,
 		Tolerance: c.Experiment.Tolerance,
 	}
 	fail := func(err error) CaseResult {
@@ -129,7 +129,7 @@ func (r *Runner) RunCase(c Case) CaseResult {
 		}
 		_, unit := c.Experiment.Goal.Metric()
 		sample = func(s *Side) (float64, error) {
-			v, err := gobenchSample(bins[s.Name], s.TreeDir, c.Profile, unit)
+			v, err := gobenchSample(bins[s.Name], s.TreeDir, c.Profile.BenchProfile, unit)
 			if err != nil && errors.Is(err, errNoBenchMatch) && s == &r.Base {
 				// The bench was added in this PR inside a pre-existing
 				// package, so the base binary builds but has nothing to
@@ -195,9 +195,8 @@ func (r *Runner) loadSample(c *Case, s *Side, src loadgen.Source) (float64, erro
 	// historical single-target run.
 	fleetLevels, err := loadgen.RunFleet(strings.Split(url, ","), src, loadgen.Config{
 		Levels:   c.Profile.Concurrency,
-		Duration: c.Profile.Duration,
+		Duration: time.Duration(c.Profile.Duration),
 		Warmup:   2,
-		Retries:  c.Profile.Retries,
 	})
 	if err != nil {
 		return 0, err
@@ -249,7 +248,7 @@ var errNoBenchMatch = errors.New("no benchmark matched")
 // gobenchSample runs one -count=1 iteration of the profile's
 // benchmark and returns the mean of the requested per-op unit
 // ("allocs/op" or "ns/op") across matched benchmarks.
-func gobenchSample(bin, dir string, p Profile, unit string) (float64, error) {
+func gobenchSample(bin, dir string, p BenchProfile, unit string) (float64, error) {
 	cmd := exec.Command(bin,
 		"-test.run", "^$",
 		"-test.bench", p.Bench,

@@ -18,15 +18,14 @@ import (
 func smallLoadCase(goal Goal, tolerance float64) Case {
 	return Case{
 		Name: "selftest-" + string(goal),
-		Profile: Profile{
-			Kind:        KindLoad,
+		Profile: Profile{Kind: KindLoad, LoadProfile: LoadProfile{
 			Concurrency: []int{2},
-			Duration:    120 * time.Millisecond,
+			Duration:    Duration(120 * time.Millisecond),
 			Mix:         map[string]int{MixDup: 1},
-			Daemon:      DaemonOpts{Cache: 64, Sessions: 16},
+			Daemon:      DaemonOpts{Cache: 64},
 			Workload:    Workload{Cores: 4, Group: 3, Seed: 3, Sets: 2, Batch: 2},
-		},
-		Experiment: Experiment{Goal: goal, Tolerance: tolerance, Alpha: 0.05},
+		}},
+		Experiment: Experiment{Goal: goal, Tolerance: tolerance},
 	}
 }
 
@@ -108,7 +107,7 @@ func TestRunCaseOverloadShedIsNotAnError(t *testing.T) {
 	c.Profile.Concurrency = []int{8}
 	c.Profile.Daemon.MaxInflight = 1
 	c.Profile.Daemon.MaxQueue = 1
-	c.Profile.Daemon.QueueWait = 5 * time.Millisecond
+	c.Profile.Daemon.QueueWait = Duration(5 * time.Millisecond)
 	r := Runner{
 		Base:    Side{Name: "base", Target: HandlerTarget{}},
 		Head:    Side{Name: "head", Target: HandlerTarget{}},
@@ -130,8 +129,8 @@ func TestRunCaseSkipsWithoutConfiguration(t *testing.T) {
 	}
 	gb := Case{
 		Name:       "gb",
-		Profile:    Profile{Kind: KindGobench, Package: ".", Bench: "BenchmarkX", Benchtime: "10x"},
-		Experiment: Experiment{Goal: GoalAllocs, Tolerance: 0.01, Alpha: 0.05},
+		Profile:    Profile{Kind: KindGobench, BenchProfile: BenchProfile{Package: ".", Bench: "BenchmarkX", Benchtime: "10x"}},
+		Experiment: Experiment{Goal: GoalAllocs, Tolerance: 0.01},
 	}
 	if res := r.RunCase(gb); res.Verdict != VerdictSkipped {
 		t.Fatalf("gobench case without trees: verdict=%s, want skipped", res.Verdict)
@@ -157,14 +156,14 @@ BenchmarkAnalyzeCold-8   	     100	    488986 ns/op	   14448 B/op	      88 alloc
 BenchmarkAnalyzeCold50-8 	     100	    923411 ns/op	   20000 B/op	     112 allocs/op
 PASS
 `)
-	got, err := gobenchSample(bin, t.TempDir(), Profile{Bench: "BenchmarkAnalyzeCold", Benchtime: "100x"}, "allocs/op")
+	got, err := gobenchSample(bin, t.TempDir(), BenchProfile{Bench: "BenchmarkAnalyzeCold", Benchtime: "100x"}, "allocs/op")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := 100.0; got != want { // mean of 88 and 112
 		t.Fatalf("allocs/op = %v, want %v", got, want)
 	}
-	ns, err := gobenchSample(bin, t.TempDir(), Profile{Bench: "BenchmarkAnalyzeCold", Benchtime: "100x"}, "ns/op")
+	ns, err := gobenchSample(bin, t.TempDir(), BenchProfile{Bench: "BenchmarkAnalyzeCold", Benchtime: "100x"}, "ns/op")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +174,7 @@ PASS
 
 func TestGobenchSampleNoMatch(t *testing.T) {
 	bin := fakeBench(t, "PASS\n")
-	_, err := gobenchSample(bin, t.TempDir(), Profile{Bench: "BenchmarkNope", Benchtime: "1x"}, "allocs/op")
+	_, err := gobenchSample(bin, t.TempDir(), BenchProfile{Bench: "BenchmarkNope", Benchtime: "1x"}, "allocs/op")
 	if err == nil {
 		t.Fatal("no matching benchmark must be an error, not a silent zero")
 	}
@@ -263,13 +262,12 @@ func TestRunCaseSkipsMissingGobenchPackage(t *testing.T) {
 	base := t.TempDir() // an empty "tree": no internal/wal
 	c := Case{
 		Name: "allocs-missing",
-		Profile: Profile{
-			Kind:      KindGobench,
+		Profile: Profile{Kind: KindGobench, BenchProfile: BenchProfile{
 			Package:   "./internal/wal",
 			Bench:     "BenchmarkWALAppend$",
 			Benchtime: "1x",
-		},
-		Experiment: Experiment{Goal: GoalAllocs, Tolerance: 0.01, Alpha: 0.05},
+		}},
+		Experiment: Experiment{Goal: GoalAllocs, Tolerance: 0.01},
 	}
 	r := Runner{
 		Base:    Side{Name: "base", TreeDir: base},
@@ -288,7 +286,7 @@ func TestRunCaseSkipsMissingGobenchPackage(t *testing.T) {
 // must pass, and the comma-joined URL list must reach loadgen as two
 // targets (asserted via Target.Start directly).
 func TestRunCaseFleetAAPasses(t *testing.T) {
-	url, stop, err := HandlerTarget{}.Start(DaemonOpts{Cache: 64, Sessions: 16, Fleet: 2})
+	url, stop, err := HandlerTarget{}.Start(DaemonOpts{Cache: 64, Fleet: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +349,7 @@ func TestBinaryTargetFleet(t *testing.T) {
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("building hydrad: %v: %s", err, out)
 	}
-	url, stop, err := BinaryTarget{Bin: bin}.Start(DaemonOpts{Cache: 64, Sessions: 16, Fleet: 2})
+	url, stop, err := BinaryTarget{Bin: bin}.Start(DaemonOpts{Cache: 64, Fleet: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,6 @@ func daemonArgs(d DaemonOpts, addr string) (args []string, cleanup func(), err e
 	args = []string{
 		"-addr", addr,
 		"-cache", strconv.Itoa(d.Cache),
-		"-sessions", strconv.Itoa(d.Sessions),
 	}
 	if d.MaxInflight > 0 {
 		// Pass the whole gate triple so the subprocess matches what
@@ -271,26 +270,23 @@ func (t HandlerTarget) node(d DaemonOpts, fl *fleet.Fleet) (http.Handler, func()
 	if d.MaxInflight > 0 {
 		cfg.MaxInflight = d.MaxInflight
 		cfg.MaxQueue = d.MaxQueue
-		cfg.QueueWait = d.QueueWait
+		cfg.QueueWait = time.Duration(d.QueueWait)
 	}
-	cleanup := func() {}
 	// Like hydrad: sessions always live in a store, fsynced only for
-	// data_dir cases, and -sessions 0 without a data dir opens none.
-	if d.DataDir || d.Sessions > 0 {
-		dataDir, err := os.MkdirTemp("", "hydraperf-data-*")
-		if err != nil {
-			return nil, nil, err
-		}
-		st, err := store.Open(dataDir, a, store.Options{MaxLive: d.Sessions, NoSync: !d.DataDir})
-		if err != nil {
-			_ = os.RemoveAll(dataDir)
-			return nil, nil, err
-		}
-		cfg.Store = st
-		cleanup = func() {
-			_ = st.Close()
-			_ = os.RemoveAll(dataDir)
-		}
+	// data_dir cases.
+	dataDir, err := os.MkdirTemp("", "hydraperf-data-*")
+	if err != nil {
+		return nil, nil, err
+	}
+	st, err := store.Open(dataDir, a, store.Options{NoSync: !d.DataDir})
+	if err != nil {
+		_ = os.RemoveAll(dataDir)
+		return nil, nil, err
+	}
+	cfg.Store = st
+	cleanup := func() {
+		_ = st.Close()
+		_ = os.RemoveAll(dataDir)
 	}
 	var h http.Handler = hydradhttp.NewHandler(cfg)
 	if t.Wrap != nil {

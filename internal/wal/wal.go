@@ -244,13 +244,6 @@ func RemoveGeneration(fs faultfs.FS, dir, prefix string) error {
 	return fs.SyncDir(dir)
 }
 
-// SyncDir fsyncs a directory, making renames and file creations in it
-// durable. Exported because the session store shares the discipline
-// for its snapshot files.
-func SyncDir(dir string) error {
-	return faultfs.OS{}.SyncDir(dir)
-}
-
 // segmentName formats <prefix>NNNNNNNN.wal.
 func segmentName(prefix string, seq int) string {
 	return fmt.Sprintf("%s%08d.wal", prefix, seq)

@@ -9,7 +9,6 @@ import (
 
 	"hydrac/internal/core"
 	"hydrac/internal/partition"
-	"hydrac/internal/rta"
 	"hydrac/internal/task"
 )
 
@@ -299,55 +298,21 @@ func (p *priorOrder) Swap(i, j int)      { p.idx[i], p.idx[j] = p.idx[j], p.idx[
 // rotation state; the possibly-advanced cursor is returned alongside
 // the chosen core.
 func (s *Session) place(cand *TaskSet, t RTTask, cursor int) (int, int, error) {
+	cores := make([][]RTTask, cand.Cores)
 	util := make([]float64, cand.Cores)
+	for m := range cores {
+		cores[m] = cand.RTOnCore(m)
+	}
 	for _, rt := range cand.RT {
 		if rt.Core >= 0 {
 			util[rt.Core] += rt.Utilization()
 		}
 	}
-	fits := func(m int) bool {
-		onCore := cand.RTOnCore(m)
-		probe := t
-		probe.Core = m
-		i := sort.Search(len(onCore), func(i int) bool { return onCore[i].Priority > probe.Priority })
-		onCore = append(onCore, RTTask{})
-		copy(onCore[i+1:], onCore[i:])
-		onCore[i] = probe
-		return rta.CoreSchedulable(onCore)
-	}
-	best := -1
-	var bestKey float64
-	switch s.a.heuristic {
-	case NextFit:
-		for k := 0; k < cand.Cores; k++ {
-			m := (cursor + k) % cand.Cores
-			if fits(m) {
-				return m, m, nil
-			}
-		}
-	case FirstFit:
-		for m := 0; m < cand.Cores; m++ {
-			if fits(m) {
-				return m, cursor, nil
-			}
-		}
-	case WorstFit:
-		for m := 0; m < cand.Cores; m++ {
-			if fits(m) && (best == -1 || util[m] < bestKey) {
-				best, bestKey = m, util[m]
-			}
-		}
-	default: // BestFit
-		for m := 0; m < cand.Cores; m++ {
-			if fits(m) && (best == -1 || util[m] > bestKey) {
-				best, bestKey = m, util[m]
-			}
-		}
-	}
-	if best == -1 {
+	m, next := partition.Place(s.a.heuristic, cores, util, cursor, t)
+	if m < 0 {
 		return 0, 0, partition.ErrInfeasible{Task: t.Name}
 	}
-	return best, cursor, nil
+	return m, next, nil
 }
 
 // removeTasks drops the named tasks from cand in place, preserving

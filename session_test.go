@@ -5,11 +5,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
 	"hydrac"
 	"hydrac/internal/gen"
+	"hydrac/internal/store"
 )
 
 func sessionBase() *hydrac.TaskSet {
@@ -310,5 +312,123 @@ func TestSessionPinnedRTDeltaFailingEq1(t *testing.T) {
 	if !bytes.Equal(canonicalBytes(t, rep), canonicalBytes(t, cold)) {
 		t.Fatalf("session report differs from cold Analyze:\nsession: %s\ncold:    %s",
 			canonicalBytes(t, rep), canonicalBytes(t, cold))
+	}
+}
+
+// placementBase pins four RT tasks at distinct utilisations (0.2, 0.5,
+// 0.1, 0.3) on four cores, so each heuristic has a different best
+// core for the first arrival.
+func placementBase() *hydrac.TaskSet {
+	return &hydrac.TaskSet{
+		Cores: 4,
+		RT: []hydrac.RTTask{
+			{Name: "p0", WCET: 2, Period: 10, Deadline: 10, Core: 0, Priority: 0},
+			{Name: "p1", WCET: 5, Period: 10, Deadline: 10, Core: 1, Priority: 1},
+			{Name: "p2", WCET: 1, Period: 10, Deadline: 10, Core: 2, Priority: 2},
+			{Name: "p3", WCET: 3, Period: 10, Deadline: 10, Core: 3, Priority: 3},
+		},
+		Security: []hydrac.SecurityTask{
+			{Name: "sec0", WCET: 1, MaxPeriod: 1000, Core: -1, Priority: 0},
+		},
+	}
+}
+
+// placementRun is the run of unassigned RT tasks every heuristic
+// admits one delta at a time, lowest priorities last.
+var placementRun = []struct {
+	name         string
+	wcet, period hydrac.Time
+}{
+	{"n0", 3, 10}, {"n1", 2, 10}, {"n2", 4, 10}, {"n3", 1, 20},
+	{"n4", 3, 10}, {"n5", 2, 20}, {"n6", 5, 20}, {"n7", 1, 10},
+}
+
+// admitPlacementRun admits placementRun[from:to] into sess, one
+// unassigned RT task per delta, and returns the core each landed on.
+func admitPlacementRun(t *testing.T, sess *hydrac.Session, from, to int) []int {
+	t.Helper()
+	ctx := context.Background()
+	var cores []int
+	for k := from; k < to; k++ {
+		n := placementRun[k]
+		_, admitted, err := sess.Admit(ctx, hydrac.Delta{AddRT: []hydrac.RTTask{{
+			Name: n.name, WCET: n.wcet, Period: n.period, Deadline: n.period, Core: -1, Priority: 10 + k,
+		}}})
+		if err != nil || !admitted {
+			t.Fatalf("%s: admitted=%v err=%v", n.name, admitted, err)
+		}
+		for _, rt := range sess.Set().RT {
+			if rt.Name == n.name {
+				cores = append(cores, rt.Core)
+			}
+		}
+	}
+	return cores
+}
+
+// Incremental placement under every heuristic: each unassigned RT task
+// lands on the core the heuristic picks among the already-placed set,
+// and next-fit's rotation survives a store restart mid-run.
+func TestSessionPlacementPerHeuristic(t *testing.T) {
+	ctx := context.Background()
+	want := map[hydrac.PartitionHeuristic][]int{
+		hydrac.BestFit:  {1, 1, 3, 3, 0, 3, 0, 2},
+		hydrac.FirstFit: {0, 0, 1, 0, 2, 0, 2, 1},
+		hydrac.WorstFit: {2, 0, 3, 0, 2, 0, 1, 0},
+		hydrac.NextFit:  {0, 0, 1, 1, 2, 2, 2, 3},
+	}
+	for h, cores := range want {
+		a, err := hydrac.New(hydrac.WithHeuristic(h))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, _, err := a.NewSession(ctx, placementBase())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := admitPlacementRun(t, sess, 0, len(placementRun)); !reflect.DeepEqual(got, cores) {
+			t.Errorf("%s placed the run on cores %v, want %v", h, got, cores)
+		}
+	}
+
+	// Next-fit through a store, reopened after the fourth task: the
+	// recovered session must resume the rotation from the persisted
+	// cursor (core 1), not restart it at core 0. Compacting every two
+	// commits puts that cursor in a snapshot rather than a WAL replay.
+	a, err := hydrac.New(hydrac.WithHeuristic(hydrac.NextFit))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	half := len(placementRun) / 2
+	st, err := store.Open(dir, a, store.Options{CompactEvery: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Create(ctx, "nf", placementBase()); err != nil {
+		t.Fatal(err)
+	}
+	sess, release, err := st.Acquire(ctx, "nf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := admitPlacementRun(t, sess, 0, half)
+	release()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err = store.Open(dir, a, store.Options{CompactEvery: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	sess, release, err = st.Acquire(ctx, "nf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	got = append(got, admitPlacementRun(t, sess, half, len(placementRun))...)
+	if !reflect.DeepEqual(got, want[hydrac.NextFit]) {
+		t.Errorf("next-fit across a store restart placed the run on cores %v, want %v", got, want[hydrac.NextFit])
 	}
 }
