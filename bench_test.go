@@ -218,23 +218,6 @@ func benchCarryIn(b *testing.B, mode core.CarryInMode) {
 	}
 }
 
-// BenchmarkAblationLogSearch vs ...LinearSearch quantify Algorithm 2's
-// logarithmic search against a downward linear scan.
-func BenchmarkAblationLogSearch(b *testing.B) { benchSearch(b, false) }
-
-// BenchmarkAblationLinearSearch is the brute-force counterpart.
-func BenchmarkAblationLinearSearch(b *testing.B) { benchSearch(b, true) }
-
-func benchSearch(b *testing.B, linear bool) {
-	ts := rover.TaskSet()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.SelectPeriods(ts, core.Options{LinearSearch: linear}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAblationPartitionHeuristics compares the RT bin-packing
 // heuristics' cost on Table-3 workloads.
 func BenchmarkAblationPartitionHeuristics(b *testing.B) {

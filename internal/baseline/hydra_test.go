@@ -229,6 +229,8 @@ func TestGlobalTMaxDetectsOverload(t *testing.T) {
 // (GLOBAL over-approximates carry-in from partitioned tasks). Verify
 // the weaker, always-true direction on random sets: whenever
 // GLOBAL-TMax accepts, HYDRA-C's analysis with Ts = Tmax accepts too.
+// Algorithm 1 decides Schedulable at lines 2–4, with every period at
+// Tmax, before it shortens any period.
 func TestHydraCTMaxDominatesGlobalTMax(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	cfg := gen.TableThree(2)
@@ -248,7 +250,7 @@ func TestHydraCTMaxDominatesGlobalTMax(t *testing.T) {
 				continue
 			}
 			tried++
-			cres, err := core.SelectPeriods(ts, core.Options{SkipOptimization: true})
+			cres, err := core.SelectPeriods(ts, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -25,13 +25,6 @@ type Result struct {
 type Options struct {
 	// CarryIn selects the Eq. 8 maximisation strategy.
 	CarryIn CarryInMode
-	// LinearSearch replaces Algorithm 2's logarithmic search with a
-	// downward linear scan. Exponentially slower; kept for the
-	// ablation benchmark and as a test oracle.
-	LinearSearch bool
-	// SkipOptimization pins every period at Tmax after the feasibility
-	// check — the "w/o period optimisation" reference of Fig. 7b.
-	SkipOptimization bool
 }
 
 // SelectPeriods is Algorithm 1: given a task set whose RT tasks are
@@ -108,22 +101,6 @@ func logMinPeriod(ctx context.Context, sc *Scratch, sec []task.SecurityTask, per
 		} else {
 			lo = mid + 1
 		}
-	}
-	return star
-}
-
-// linearMinPeriod scans downward from hi; it is the brute-force oracle
-// for Algorithm 2 and the ablation benchmark.
-func linearMinPeriod(ctx context.Context, sc *Scratch, sec []task.SecurityTask, periods, resp []task.Time, i int, lo, hi task.Time, mode CarryInMode) task.Time {
-	star := hi
-	for t := hi; t >= lo; t-- {
-		if ctx.Err() != nil {
-			return star // the caller surfaces ctx.Err()
-		}
-		if !lowerPrioritySchedulable(sc, sec, periods, resp, i, t, mode) {
-			break
-		}
-		star = t
 	}
 	return star
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hydrac/internal/gen"
+	"hydrac/internal/oracle"
 	"hydrac/internal/task"
 )
 
@@ -108,22 +109,6 @@ func TestSelectPeriodsRejectsInfeasibleRTBand(t *testing.T) {
 	}
 }
 
-func TestSelectPeriodsSkipOptimization(t *testing.T) {
-	ts := roverLikeSet()
-	res, err := SelectPeriods(ts, Options{SkipOptimization: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Schedulable {
-		t.Fatal("unschedulable")
-	}
-	for i, s := range ts.Security {
-		if res.Periods[i] != s.MaxPeriod {
-			t.Errorf("%s: period %d, want Tmax %d", s.Name, res.Periods[i], s.MaxPeriod)
-		}
-	}
-}
-
 func TestSelectPeriodsEmptySecurity(t *testing.T) {
 	ts := roverLikeSet()
 	ts.Security = nil
@@ -137,8 +122,9 @@ func TestSelectPeriodsEmptySecurity(t *testing.T) {
 }
 
 // Algorithm 2's logarithmic search must agree with the brute-force
-// downward scan. Monotonicity of feasibility in the period makes the
-// binary search exact; this is the regression test for that claim.
+// downward scan of the from-scratch oracle. Monotonicity of
+// feasibility in the period makes the binary search exact; this is the
+// regression test for that claim.
 func TestLogSearchMatchesLinearOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("linear oracle is slow")
@@ -166,7 +152,7 @@ func TestLogSearchMatchesLinearOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			slow, err := SelectPeriods(ts, Options{LinearSearch: true})
+			slow, err := oracle.SelectPeriods(ts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -133,7 +133,7 @@ func SelectPeriodsResumableWith(ctx context.Context, ts *task.Set, opt Options, 
 	// changed level. This is what makes a tail-local delta on a
 	// thousand-task band cost o(n) instead of O(n²) probe work.
 	adopt := 0
-	if pr := h.Prior; pr != nil && !opt.SkipOptimization && opt.CarryIn == Dominance {
+	if pr := h.Prior; pr != nil && opt.CarryIn == Dominance {
 		adopt = adoptablePrefix(sc, sec, pr)
 	}
 	stats.Adopted = adopt
@@ -162,59 +162,53 @@ func SelectPeriodsResumableWith(ctx context.Context, ts *task.Set, opt Options, 
 		}
 	}
 
-	if !opt.SkipOptimization {
-		// Lines 5–9: from highest to lowest priority, shrink each
-		// period as far as every lower-priority task tolerates. On
-		// entry to level i, resp[i:] holds the exact response times
-		// under the fixed periods above i and Tmax from i down.
-		for i := adopt; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, stats, err
-			}
-			lo, hi := resp[i], sec[i].MaxPeriod
-			star := task.Time(-1)
-			// A hint is the star iff cand is feasible and cand−1 is not
-			// (or cand is the lower bound). Probing cand−1 first makes a
-			// verified hint's last probe its star.
-			if cand, ok := h.Periods[sec[i].Name]; ok && cand >= lo && cand <= hi {
-				if (cand == lo || !lowerPrioritySchedulable(sc, sec, periods, resp, i, cand-1, opt.CarryIn)) &&
-					lowerPrioritySchedulable(sc, sec, periods, resp, i, cand, opt.CarryIn) {
-					star = cand
-					stats.Verified++
-				}
-			}
-			if star < 0 {
-				if opt.LinearSearch {
-					star = linearMinPeriod(ctx, sc, sec, periods, resp, i, lo, hi, opt.CarryIn)
-				} else {
-					star = logMinPeriod(ctx, sc, sec, periods, resp, i, lo, hi, opt.CarryIn)
-				}
-				stats.Searched++
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, stats, err
-			}
-			// Line 8: refresh the WCRT of every lower-priority task
-			// under the newly fixed period by adopting the star probe's
-			// captured response vector and component caches — they ARE
-			// the post-fix state. When the search's last probe was not
-			// the star (it ended on an infeasible candidate), the star
-			// is probed once more, unchecked. That probe is feasible
-			// because star is either a candidate whose probe already
-			// passed at this level, or hi (Tmax): periods[i] is still
-			// Tmax, so a probe at hi reproduces the incoming resp[i+1:],
-			// which the loop invariant above keeps feasible (lines 2–4,
-			// then each level's adoption). A search change that can
-			// return any other unprobed candidate must check this probe.
-			if sc.probeFrom != i || sc.probeCand != star {
-				lowerPrioritySchedulable(sc, sec, periods, resp, i, star, opt.CarryIn)
-			}
-			periods[i] = star
-			copy(resp[i+1:], sc.probeResp[i+1:n])
-			copy(sc.rtAt[i+1:], sc.probeRT[i+1:n])
-			copy(sc.ncAt[i+1:], sc.probeNC[i+1:n])
-			copy(sc.ckAt[i+1:], sc.probeCK[i+1:n])
+	// Lines 5–9: from highest to lowest priority, shrink each period as
+	// far as every lower-priority task tolerates. On entry to level i,
+	// resp[i:] holds the exact response times under the fixed periods
+	// above i and Tmax from i down.
+	for i := adopt; i < n; i++ {
+		if err := ctx.Err(); err != nil {
+			return nil, stats, err
 		}
+		lo, hi := resp[i], sec[i].MaxPeriod
+		star := task.Time(-1)
+		// A hint is the star iff cand is feasible and cand−1 is not
+		// (or cand is the lower bound). Probing cand−1 first makes a
+		// verified hint's last probe its star.
+		if cand, ok := h.Periods[sec[i].Name]; ok && cand >= lo && cand <= hi {
+			if (cand == lo || !lowerPrioritySchedulable(sc, sec, periods, resp, i, cand-1, opt.CarryIn)) &&
+				lowerPrioritySchedulable(sc, sec, periods, resp, i, cand, opt.CarryIn) {
+				star = cand
+				stats.Verified++
+			}
+		}
+		if star < 0 {
+			star = logMinPeriod(ctx, sc, sec, periods, resp, i, lo, hi, opt.CarryIn)
+			stats.Searched++
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, stats, err
+		}
+		// Line 8: refresh the WCRT of every lower-priority task under
+		// the newly fixed period by adopting the star probe's captured
+		// response vector and component caches — they ARE the post-fix
+		// state. When the search's last probe was not the star (it
+		// ended on an infeasible candidate), the star is probed once
+		// more, unchecked. That probe is feasible because star is
+		// either a candidate whose probe already passed at this level,
+		// or hi (Tmax): periods[i] is still Tmax, so a probe at hi
+		// reproduces the incoming resp[i+1:], which the loop invariant
+		// above keeps feasible (lines 2–4, then each level's adoption).
+		// A search change that can return any other unprobed candidate
+		// must check this probe.
+		if sc.probeFrom != i || sc.probeCand != star {
+			lowerPrioritySchedulable(sc, sec, periods, resp, i, star, opt.CarryIn)
+		}
+		periods[i] = star
+		copy(resp[i+1:], sc.probeResp[i+1:n])
+		copy(sc.rtAt[i+1:], sc.probeRT[i+1:n])
+		copy(sc.ncAt[i+1:], sc.probeNC[i+1:n])
+		copy(sc.ckAt[i+1:], sc.probeCK[i+1:n])
 	}
 
 	// Report in the original ts.Security order.

@@ -103,54 +103,6 @@ func TestSelectPeriodsResumableMatchesCold(t *testing.T) {
 	}
 }
 
-// The linear-search ablation must agree with the oracle, with and
-// without hints (one tick below Tmax: a candidate that usually fails
-// verification).
-func TestSelectPeriodsResumableLinearSearch(t *testing.T) {
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(7))
-	opt := Options{LinearSearch: true}
-	for trial := 0; trial < 60; trial++ {
-		ts := resumeTestSet(rng)
-		want, err := oracle.SelectPeriods(ts)
-		if err != nil {
-			continue
-		}
-		near := &Hints{Periods: map[string]task.Time{}}
-		for _, s := range ts.Security {
-			near.Periods[s.Name] = s.MaxPeriod - 1
-		}
-		for _, hints := range []*Hints{nil, near} {
-			got, _, err := SelectPeriodsResumableWith(ctx, ts, opt, hints, NewScratch(nil))
-			if err != nil || !sameAsOracle(got, want) {
-				t.Fatalf("trial %d (hints %v): linear selection diverged from the oracle (err %v)", trial, hints != nil, err)
-			}
-		}
-	}
-}
-
-// SkipOptimization pins periods at Tmax; the resumable path must take
-// the identical shortcut.
-func TestSelectPeriodsResumableSkipOptimization(t *testing.T) {
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 60; trial++ {
-		ts := resumeTestSet(rng)
-		opt := Options{SkipOptimization: true}
-		cold, err := SelectPeriodsCtx(ctx, ts, opt)
-		if err != nil {
-			continue
-		}
-		warm, stats, err := SelectPeriodsResumableWith(ctx, ts, opt, &Hints{Periods: map[string]task.Time{"seca": 1}}, NewScratch(nil))
-		if err != nil || !reflect.DeepEqual(cold, warm) {
-			t.Fatalf("trial %d: SkipOptimization resumable diverged (err %v)", trial, err)
-		}
-		if stats.Verified+stats.Searched != 0 {
-			t.Fatalf("trial %d: selection ran under SkipOptimization", trial)
-		}
-	}
-}
-
 // Regression for the MaxFixpointIterations backstop: when every
 // core's interference clamp binds, the Eq. 7 recurrence creeps one
 // tick per iteration for a span proportional to the WCETs in the

@@ -95,20 +95,9 @@ type Scratch struct {
 	// of the two 64-bit divisions of workloadNC + workloadCI. Priming
 	// keeps the longest prefix whose derived fields already match, so
 	// the selection loops — which re-prime the same interferer prefix
-	// hundreds of times per search — carry the warm window caches and
-	// the demand-bound order across probes instead of rebuilding them.
+	// hundreds of times per search — carry the warm window caches
+	// across probes instead of rebuilding them.
 	hpWin []hpWindow
-
-	// hpOrder holds the indices of hpWin sorted by ascending x̄: the
-	// dominance difference I^CI − I^NC of an entry is provably ≤ 0
-	// until the window length exceeds its x̄ (the carry-in staircase is
-	// the non-carry-in one shifted right by x̄ plus a min(y, C−1) tail
-	// that never beats the W^NC(y) ≥ min(y, C) floor under the shared
-	// clamp), so a carry-in scan at window length y visits only the
-	// prefix with x̄ < y — on paper-scale chains a small fraction of
-	// the band. Maintained incrementally by primeHP's prefix match and
-	// insertOrder's binary insertion.
-	hpOrder []int32
 
 	// topk is the bounded min-heap over the k = M−1 largest carry-in
 	// differences (values only; the top-k SUM is selection-order
@@ -230,10 +219,9 @@ type hpWindow struct {
 // fields (C, T, x̄) match the new band. The selection loops prime the
 // same 0..i prefix for every probe and grow the chain one interferer
 // per task, so in steady state a prime costs a prefix of equality
-// compares plus one ordered insert — the warm period windows (valid
+// compares plus one appended entry — the warm period windows (valid
 // for any window length once filled, being pure functions of (C, T))
-// and the descending-cm1 order survive instead of being rebuilt and
-// re-sorted per MigratingWCRT entry.
+// survive instead of being rebuilt per MigratingWCRT entry.
 func (sc *Scratch) primeHP(hp []Interferer) {
 	hw := sc.hpWin
 	p := 0
@@ -246,15 +234,6 @@ func (sc *Scratch) primeHP(hp []Interferer) {
 		p++
 	}
 	hw = hw[:p]
-	if len(sc.hpOrder) > p {
-		ord := sc.hpOrder[:0]
-		for _, j := range sc.hpOrder {
-			if int(j) < p {
-				ord = append(ord, j)
-			}
-		}
-		sc.hpOrder = ord
-	}
 	for j := p; j < len(hp); j++ {
 		h := &hp[j]
 		hw = append(hw, hpWindow{
@@ -263,32 +242,8 @@ func (sc *Scratch) primeHP(hp []Interferer) {
 			xbar: h.WCET - 1 + h.Period - h.Resp,
 			cm1:  h.WCET - 1,
 		})
-		sc.hpWin = hw
-		sc.insertOrder(int32(j))
 	}
 	sc.hpWin = hw
-}
-
-// insertOrder files hpWin index j into hpOrder's ascending-x̄
-// arrangement (ties by ascending index, so priming order never
-// influences results).
-func (sc *Scratch) insertOrder(j int32) {
-	xbar := sc.hpWin[j].xbar
-	ord := sc.hpOrder
-	lo, hi := 0, len(ord)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		o := ord[mid]
-		if sc.hpWin[o].xbar < xbar || (sc.hpWin[o].xbar == xbar && o < j) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	ord = append(ord, 0)
-	copy(ord[lo+1:], ord[lo:])
-	ord[lo] = j
-	sc.hpOrder = ord
 }
 
 // diffTerm is one higher-priority migrating task's carry-in minus
@@ -401,12 +356,6 @@ func (sc *Scratch) ensure(n int) {
 	}
 	if cap(sc.hpWin) < n {
 		sc.hpWin = make([]hpWindow, 0, n)
-		sc.hpOrder = sc.hpOrder[:0]
-	}
-	if cap(sc.hpOrder) < n {
-		ord := make([]int32, len(sc.hpOrder), n)
-		copy(ord, sc.hpOrder)
-		sc.hpOrder = ord
 	}
 	if cap(sc.resp) < n {
 		sc.resp = make([]task.Time, 0, n)
@@ -626,18 +575,15 @@ func (sc *Scratch) omegaValue(y, cs task.Time) task.Time {
 
 // carryIn evaluates the Eq. 5/6 dominance term — the sum of the
 // at-most-(M−1) largest positive carry-in minus non-carry-in
-// differences — visiting interferers in ascending order of x̄ and
-// stopping at the first entry with x̄ ≥ y. Entries past the stop
-// cannot contribute: with z = y − x̄ ≤ 0 the carry-in bound collapses
-// to min(y, C−1), which the non-carry-in floor W^NC(y) ≥ min(y, C)
-// matches or beats under the shared clamp, so their difference is
-// never positive and the reference selection skips them identically.
-// On paper-scale chains only tasks whose response runs close to their
-// period have small x̄, so the scanned prefix is a small fraction of
-// the band — the pruning that makes thousand-interferer refinements
-// affordable. Each scanned entry's Eq. 2 term is read inline, so the
-// scan stands alone: warmResp's exact recheck pays for the scanned
-// prefix only, with the other Ω components served from its caches.
+// differences — in one pass over the band, skipping every entry with
+// x̄ ≥ y before reading its staircases. A skipped entry cannot
+// contribute: with z = y − x̄ ≤ 0 the carry-in bound collapses to
+// min(y, C−1), which the non-carry-in floor W^NC(y) ≥ min(y, C)
+// matches or beats under the shared clamp, so its difference is never
+// positive and the reference selection skips it identically. Each
+// scanned entry's Eq. 2 term is read inline, so the scan stands alone:
+// warmResp's exact recheck pays for this pass only, with the other Ω
+// components served from its caches.
 func (sc *Scratch) carryIn(y, cs task.Time) task.Time {
 	k := sc.sysM - 1
 	if k <= 0 || y <= 0 {
@@ -647,14 +593,14 @@ func (sc *Scratch) carryIn(y, cs task.Time) task.Time {
 	hw := sc.hpWin
 	// A bounded min-heap of the k largest differences. The heap keys
 	// on values alone — the top-k SUM is selection-order independent,
-	// so ties resolve to the same total as the reference sort. An
-	// entry displaces the root only when strictly larger, and the scan
-	// stops when the next demand bound cannot beat the root.
+	// so ties resolve to the same total as the reference sort, whatever
+	// order the band is scanned in. An entry displaces the root only
+	// when strictly larger.
 	heap := sc.topk[:0]
-	for _, j := range sc.hpOrder {
+	for j := range hw {
 		h := &hw[j]
 		if h.xbar >= y {
-			break
+			continue
 		}
 		ci := min(y, h.cm1)
 		if z := y - h.xbar; z > 0 {

@@ -105,6 +105,59 @@ func TestStaircaseKernelMatchesNaiveCreep(t *testing.T) {
 	}
 }
 
+// primeHP keeps the longest prefix of interferer windows whose C, T
+// and x̄ match the new band and rebuilds the rest. Re-priming one
+// scratch — windows warm from evaluations of the previous band — with
+// a band that changed one entry's period or response, or grew or lost
+// its tail, must leave omegaValue and omegaLine exactly where
+// omegaDominance puts the new band, over a range of window lengths.
+func TestPrimeHPReprimeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 3000; trial++ {
+		sys, hp, cs := randKernelCase(rng)
+		sc := NewScratch(sys)
+		sc.primeHP(hp)
+		for n := 0; n < 8; n++ {
+			y := cs + rng.Int63n(300)
+			sc.omegaValue(y, cs)
+			sc.omegaLine(y, cs)
+		}
+		next := append([]Interferer(nil), hp...)
+		op := rng.Intn(4)
+		if len(next) == 0 {
+			op = 2
+		}
+		switch j := rng.Intn(max(len(next), 1)); op {
+		case 0: // one entry's period moves
+			next[j].Period = next[j].WCET + rng.Int63n(60)
+		case 1: // one entry's response moves, and with it x̄
+			next[j].Resp = next[j].WCET + rng.Int63n(2*next[j].Period)
+		case 2: // the band grows, by at least one entry
+			_, more, _ := randKernelCase(rng)
+			next = append(next, more...)
+			next = append(next, Interferer{WCET: 3, Period: 20, Resp: 3 + rng.Int63n(40)})
+		case 3: // the band loses its tail
+			next = next[:j]
+		}
+		sc.primeHP(next)
+		for n := 0; n < 12; n++ {
+			y := cs + rng.Int63n(300)
+			want := sys.omegaDominance(y, cs, next)
+			if got := sc.omegaValue(y, cs); got != want {
+				t.Fatalf("trial %d (op %d): re-primed omegaValue(%d) = %d, omegaDominance = %d", trial, op, y, got, want)
+			}
+			omega, slope, bp := sc.omegaLine(y, cs)
+			if omega != want {
+				t.Fatalf("trial %d (op %d): re-primed omegaLine(%d) = %d, omegaDominance = %d", trial, op, y, omega, want)
+			}
+			z := min(bp-1, y+1+rng.Int63n(40))
+			if got, want := omega+slope*(z-y), sys.omegaDominance(z, cs, next); got != want {
+				t.Fatalf("trial %d (op %d): re-primed piece from %d says %d at %d, omegaDominance = %d", trial, op, y, got, z, want)
+			}
+		}
+	}
+}
+
 // The conservative MaxFixpointIterations verdict is part of the
 // analysis definition: a clamp-bound creep the naive kernel abandons
 // after the budget must be reported unschedulable by the staircase
@@ -175,10 +228,11 @@ func TestLowerPrioritySchedulableAllocFree(t *testing.T) {
 }
 
 // The primed fixpoint behind warm probes — it replays the cached chain
-// (heap-backed Eq. 4 carry-in, line replay, component split) — runs
-// O(n) times per admitted delta at massive scale, so a single
-// allocation per call would dominate the delta budget. It must be
-// allocation-free on a warm scratch.
+// (the x̄-skipping carry-in scan whose bounded heap keeps the top-(M−1)
+// order statistics, line replay, component split) — runs O(n) times
+// per admitted delta at massive scale, so a single allocation per call
+// would dominate the delta budget. It must be allocation-free on a
+// warm scratch.
 func TestOrderStatisticsWarmPathAllocFree(t *testing.T) {
 	ts := &task.Set{
 		Cores: 2,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -171,6 +172,31 @@ func TestRotatingCycles(t *testing.T) {
 	for body, c := range bodies {
 		if c.Load() == 0 {
 			t.Fatalf("body %s never posted", body)
+		}
+	}
+}
+
+// Concurrent workers start spread over the pool for every pool size
+// and worker count: workers 0..c−1 at least ⌊n/2c⌋ bodies apart,
+// counting the gap that wraps around the end of the pool.
+func TestRotatingStartsSpread(t *testing.T) {
+	for n := 1; n <= 256; n++ {
+		for c := 1; c <= 32; c++ {
+			offs := make([]int, c)
+			for w := range offs {
+				offs[w] = startOffset(w, n)
+				if offs[w] < 0 || offs[w] >= n {
+					t.Fatalf("n=%d: worker %d starts at %d, outside the pool", n, w, offs[w])
+				}
+			}
+			sort.Ints(offs)
+			gap := n - offs[c-1] + offs[0]
+			for i := 1; i < c; i++ {
+				gap = min(gap, offs[i]-offs[i-1])
+			}
+			if gap < n/(2*c) {
+				t.Fatalf("n=%d c=%d: starts %v are %d apart, want at least %d", n, c, offs, gap, n/(2*c))
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"net/http"
 )
 
@@ -27,23 +28,33 @@ type fixedStream struct{ req Request }
 func (s fixedStream) Next(int) Request { return s.req }
 
 // Rotating cycles a pool of distinct pre-encoded bodies: cold traffic.
-// Workers start at staggered offsets so concurrent workers do not
-// post the same body in lockstep (which would let the digest cache
-// serve all but one of them).
+// Workers start at spread offsets so concurrent workers do not post
+// the same body close together (which would let the caches serve all
+// but one of them).
 type Rotating struct {
 	Path   string
 	Bodies [][]byte
 }
 
-// rotatingStride staggers worker start offsets; prime so consecutive
-// workers land far apart in pools of any practical size.
-const rotatingStride = 7919
-
 func (r Rotating) NewStream(_ *http.Client, _ string, worker int) (Stream, error) {
 	if len(r.Bodies) == 0 {
 		return nil, fmt.Errorf("rotating source for %s has no bodies", r.Path)
 	}
-	return &rotatingStream{path: r.Path, bodies: r.Bodies, off: worker * rotatingStride}, nil
+	return &rotatingStream{path: r.Path, bodies: r.Bodies, off: startOffset(worker, len(r.Bodies))}, nil
+}
+
+// startOffset is worker's first body in a pool of n: the base-2
+// radical inverse of worker scaled to n (0, n/2, n/4, 3n/4, n/8, …).
+// Workers 0..c−1 then start at least ⌊n/2c⌋ bodies apart for every
+// pool size and worker count, so a body one worker posts comes back
+// only after about n/2 other bodies. A fixed stride s cannot promise
+// that: it puts worker w+1 one body behind worker w in every pool
+// whose size divides s+1.
+func startOffset(worker, n int) int {
+	// Reversing the bits of worker yields its radical inverse as a
+	// 64-bit binary fraction; the high word of fraction × n scales it.
+	hi, _ := bits.Mul64(bits.Reverse64(uint64(worker)), uint64(n))
+	return int(hi)
 }
 
 type rotatingStream struct {

@@ -64,10 +64,10 @@ func sameReport(t *testing.T, label string, want *core.Result, rep *hydrac.Repor
 }
 
 // TestDifferentialOracle cross-checks four implementations of period
-// selection on ~1k generated sets: Algorithm 2's binary search, its
-// linear-scan ablation, the from-scratch oracle, and an incremental
-// admission session replaying the security band one task at a time.
-// All four must agree bit for bit.
+// selection on ~1k generated sets: Algorithm 2's binary search, the
+// from-scratch linear-scan oracle, its binary-search twin, and an
+// incremental admission session replaying the security band one task
+// at a time. All four must agree bit for bit.
 func TestDifferentialOracle(t *testing.T) {
 	perGroup := 60
 	if testing.Short() {
@@ -89,11 +89,6 @@ func TestDifferentialOracle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("cores=%d g=%d i=%d: cold selection failed on a generated set: %v", cores, g, i, err)
 				}
-				lin, err := core.SelectPeriods(ts, core.Options{LinearSearch: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameResult(t, "linear-scan ablation", cold, lin.Schedulable, lin.Periods, lin.Resp)
 				ora, err := oracle.SelectPeriods(ts)
 				if err != nil {
 					t.Fatalf("cores=%d g=%d i=%d: oracle failed: %v", cores, g, i, err)

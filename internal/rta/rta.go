@@ -46,10 +46,8 @@ const MaxIterations = 1 << 22
 // has no fixed point (Σ ⌈x/Ti⌉·Ci ≥ x·ΣCi/Ti ≥ x, so the recurrence
 // strictly grows forever) and is rejected up front, and MaxIterations
 // backstops near-overload creep the utilisation screen's floating-
-// point sum cannot distinguish from exactly 1. CoreSchedulable and
-// CoreResponseTimes share this function with identical limits (the
-// task's deadline), so a core is CoreSchedulable iff no entry of
-// CoreResponseTimes is task.Infinity.
+// point sum cannot distinguish from exactly 1. CoreSchedulable runs it
+// per task with the task's deadline as the limit.
 func ResponseTime(wcet task.Time, hp []Demand, limit task.Time) (task.Time, bool) {
 	if wcet > limit {
 		return task.Infinity, false
@@ -102,11 +100,6 @@ func ResponseTime(wcet task.Time, hp []Demand, limit task.Time) (task.Time, bool
 // the higher-priority tasks on the same core. The input must be the
 // core's tasks sorted by priority (highest first), as produced by
 // task.Set.RTOnCore.
-//
-// CoreSchedulable and CoreResponseTimes run the identical per-task
-// iteration with the identical limit (the task's deadline), so
-// CoreSchedulable(tasks) is true iff CoreResponseTimes(tasks) contains
-// no task.Infinity entry.
 func CoreSchedulable(tasks []task.RTTask) bool {
 	hp := make([]Demand, 0, len(tasks))
 	for _, t := range tasks {
@@ -116,24 +109,6 @@ func CoreSchedulable(tasks []task.RTTask) bool {
 		hp = append(hp, Demand{WCET: t.WCET, Period: t.Period})
 	}
 	return true
-}
-
-// CoreResponseTimes returns the WCRT of every task on one core
-// (ordered as the input, which must be priority-sorted highest first).
-// Unschedulable tasks get task.Infinity; the verdict is consistent
-// with CoreSchedulable (see there).
-func CoreResponseTimes(tasks []task.RTTask) []task.Time {
-	out := make([]task.Time, len(tasks))
-	hp := make([]Demand, 0, len(tasks))
-	for i, t := range tasks {
-		r, ok := ResponseTime(t.WCET, hp, t.Deadline)
-		if !ok {
-			r = task.Infinity
-		}
-		out[i] = r
-		hp = append(hp, Demand{WCET: t.WCET, Period: t.Period})
-	}
-	return out
 }
 
 // SetSchedulable checks Eq. 1 on every core of a partitioned RT set.
