@@ -8,29 +8,38 @@ import (
 	"testing"
 
 	"hydrac"
+	"hydrac/internal/gen"
 	"hydrac/internal/hydradhttp"
-	"hydrac/internal/rover"
 )
 
-// benchBody renders the rover set once; every benchmark request posts
-// the same bytes, so after the first request the analyzer's report
-// cache serves every analysis.
+// benchBody renders one Table-3 M=4 set (4,961 bytes) with its RT band
+// unassigned, drawn as perfbench's analyze-hot pool draws its sets
+// (seed 1, utilisation group 1, item 0 is that pool's first set), so
+// the per-byte cost of keying the byte cache shows at the body size
+// that workload posts. Every request posts the same bytes.
 func benchBody(b *testing.B) []byte {
 	b.Helper()
+	ts, err := gen.TableThree(4).GenerateAt(1, 1, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for j := range ts.RT {
+		ts.RT[j].Core = -1
+	}
 	var buf bytes.Buffer
-	if err := hydrac.EncodeTaskSet(&buf, rover.TaskSet()); err != nil {
+	if err := hydrac.EncodeTaskSet(&buf, ts); err != nil {
 		b.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
 // BenchmarkHydradAnalyzeCacheHit measures the analyze handler's
-// steady-state cost on repeated identical traffic: every iteration is
-// a cache hit, so ns/op and allocs/op are the pure service overhead a
-// duplicate admission check pays (decode + cache lookup + response
-// write). The PR 5 hot path serves hits from pre-encoded envelope
-// bytes — the allocs/op delta against the marshal-per-hit reference
-// (BenchmarkHydradAnalyzeCacheHitMarshal) is the acceptance metric.
+// steady-state cost on repeated identical traffic. After the first
+// timed request, which the analyzer cache answers, every iteration is
+// an exact-byte cache hit: read the body, key it, look it up and write
+// the stored envelope, with no task-set decode and no report marshal.
+// ns/op and allocs/op include the httptest request and recorder built
+// per iteration; BenchmarkHydradAnalyzeCacheHitTight leaves them out.
 func BenchmarkHydradAnalyzeCacheHit(b *testing.B) {
 	a, err := hydrac.New(hydrac.WithCache(8))
 	if err != nil {
@@ -71,9 +80,7 @@ func (w *benchRW) WriteHeader(int)             {}
 
 // BenchmarkHydradAnalyzeCacheHitTight is the same cache-hit workload
 // with the request and response objects reused across iterations:
-// allocs/op is the handler's own steady-state allocation count, the
-// number the PR 5 acceptance criterion (≥5x reduction) is measured
-// on.
+// allocs/op is the handler's own steady-state allocation count.
 func BenchmarkHydradAnalyzeCacheHitTight(b *testing.B) {
 	a, err := hydrac.New(hydrac.WithCache(8))
 	if err != nil {

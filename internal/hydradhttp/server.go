@@ -10,8 +10,9 @@ package hydradhttp
 import (
 	"bytes"
 	"context"
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/rand"
-	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -43,7 +44,8 @@ type Config struct {
 	MaxSessions int
 	// CacheSize bounds the duplicate-request byte cache (0 disables
 	// it, matching a cacheless analyzer where replayable hit envelopes
-	// never exist).
+	// never exist). The cache is also off, said once through Logf,
+	// where AES-GCM is unavailable (GODEBUG=fips140=only).
 	CacheSize int
 	// Store holds every session: creation snapshots to disk, commits
 	// append to a WAL before acknowledgement, and LRU-evicted sessions
@@ -84,15 +86,32 @@ type server struct {
 	// store is the session tier; nil disables sessions.
 	store *store.Store
 	// respCache short-circuits exact-byte duplicate /v1/analyze
-	// requests: body digest → the canonical cache-hit envelope bytes.
-	// A hit costs one digest and one Write — no task-set decode, no
-	// report marshal. Entries are only ever populated from analyzer
-	// cache hits, so the replayed bytes are the canonical envelope
-	// (FromCache true, no per-call Timing), which is identical for
-	// every duplicate of those bytes; analysis is deterministic, so
-	// entries never go stale.
-	respCache *lru.Cache[[sha256.Size]byte, []byte]
-	logf      func(format string, args ...any)
+	// requests: body tag → the canonical cache-hit envelope bytes.
+	// A hit costs one GHASH pass over the body and one Write — no
+	// task-set decode, no report marshal. Entries are only ever
+	// populated from analyzer cache hits, so the replayed bytes are
+	// the canonical envelope (FromCache true, no per-call Timing),
+	// which is identical for every duplicate of those bytes; analysis
+	// is deterministic, so entries never go stale.
+	//
+	// The key is bodyTag's GCM tag with an empty plaintext and the
+	// body as additional data under the fixed tagNonce, which is
+	// GHASH_H(body) XOR E_K(J0). The nonce fixes the mask E_K(J0) for
+	// every body, so two tags are equal exactly when their GHASH
+	// values are. GHASH is a polynomial hash keyed by H = E_K(0¹²⁸),
+	// and over the random per-handler key two distinct bodies of at
+	// most L bytes collide with probability at most
+	// (⌈L/16⌉+1)/2¹²⁸, about 2⁻¹¹² at MaxBodyBytes. The tag never
+	// leaves the process — it is not written, logged or shown on
+	// healthz — so the fixed nonce reveals nothing, and a client
+	// learns only hit or miss, one guess per request.
+	respCache *lru.Cache[[16]byte, []byte]
+	// bodyTag computes respCache keys; nil exactly when respCache is.
+	// A cipher.AEAD keeps no per-call state (its key schedule and
+	// GHASH table are read-only after construction), so one value
+	// serves every request goroutine.
+	bodyTag cipher.AEAD
+	logf    func(format string, args ...any)
 	// gate is the overload-protection front; always non-nil (a
 	// zero-limit gate passes everything through) so healthz can
 	// report admission stats unconditionally.
@@ -119,16 +138,26 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // it on httptest servers.
 func NewHandler(cfg Config) *Handler {
 	s := &server{
-		analyzer:  cfg.Analyzer,
-		summary:   cfg.Summary,
-		store:     cfg.Store,
-		respCache: lru.New[[sha256.Size]byte, []byte](cfg.CacheSize),
-		logf:      cfg.Logf,
-		fleet:     cfg.Fleet,
-		start:     time.Now(),
+		analyzer: cfg.Analyzer,
+		summary:  cfg.Summary,
+		store:    cfg.Store,
+		logf:     cfg.Logf,
+		fleet:    cfg.Fleet,
+		start:    time.Now(),
 	}
 	if s.logf == nil {
 		s.logf = func(string, ...any) {}
+	}
+	if cfg.CacheSize > 0 {
+		if tagger, err := newBodyTagger(); err != nil {
+			// GODEBUG=fips140=only refuses GCM with caller-chosen
+			// nonces. Without the byte cache, duplicates are still
+			// answered from the analyzer cache.
+			s.logf("exact-byte response cache disabled: %v", err)
+		} else {
+			s.respCache = lru.New[[16]byte, []byte](cfg.CacheSize)
+			s.bodyTag = tagger
+		}
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/analyze", s.analyze)
@@ -139,6 +168,24 @@ func NewHandler(cfg Config) *Handler {
 	mux.HandleFunc("/healthz", s.healthz)
 	s.gate = newGate(mux, cfg)
 	return &Handler{srv: s}
+}
+
+// tagNonce is the nonce of every body tag: fixed for the handler's
+// life so that equal tags mean equal GHASH values (see respCache).
+var tagNonce [12]byte
+
+// newBodyTagger builds the AES-GCM instance whose tags key respCache,
+// under a 128-bit key drawn for this handler alone.
+func newBodyTagger() (cipher.AEAD, error) {
+	var key [16]byte
+	if _, err := rand.Read(key[:]); err != nil {
+		return nil, fmt.Errorf("drawing the body-tag key: %w", err)
+	}
+	block, err := aes.NewCipher(key[:])
+	if err != nil {
+		return nil, err
+	}
+	return cipher.NewGCM(block)
 }
 
 // bodyPool recycles request read buffers: every handler slurps the
@@ -178,13 +225,16 @@ func (s *server) analyze(w http.ResponseWriter, r *http.Request) {
 	}
 	defer putBody(buf)
 
-	// Exact-byte duplicate of a previously analysed request: one
-	// digest, one Write. Admission-control traffic is dominated by
+	// Exact-byte duplicate of a previously analysed request: one body
+	// tag, one Write. Admission-control traffic is dominated by
 	// re-posts of the same deployment manifest, so this is the
-	// steady-state path.
-	var key [sha256.Size]byte
+	// steady-state path. The tag is sealed into the body buffer's
+	// spare capacity, which ReadFrom almost always leaves, and copied
+	// to the stack, so keying allocates nothing; sealing into key[:0]
+	// would move key to the heap.
+	var key [16]byte
 	if s.respCache != nil {
-		key = sha256.Sum256(buf.Bytes())
+		copy(key[:], s.bodyTag.Seal(buf.AvailableBuffer(), tagNonce[:], nil, buf.Bytes()))
 		if body, ok := s.respCache.Get(key); ok {
 			w.Header().Set("Content-Type", "application/json")
 			w.Write(body)

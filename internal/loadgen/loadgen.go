@@ -10,7 +10,7 @@
 // at that concurrency, not a drop rate under a fixed arrival schedule.
 //
 // Traffic shape is pluggable through Source: a fixed body re-posted
-// forever (dup-heavy, exercising hydrad's digest cache), a rotating
+// forever (dup-heavy, exercising hydrad's exact-byte cache), a rotating
 // pool of distinct bodies (cold traffic, defeating the caches), a
 // per-worker admission session issuing admit/remove deltas, or a
 // weighted mix of any of these.

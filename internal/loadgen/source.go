@@ -10,7 +10,7 @@ import (
 
 // Fixed re-posts one body to one path forever: dup-heavy traffic.
 // Against hydrad this is the exact-byte duplicate hot path — after
-// the first response the body digest cache serves every request.
+// the first response the exact-byte response cache serves every request.
 type Fixed struct {
 	Path string
 	Body []byte

@@ -21,8 +21,9 @@ func (ts *Set) Hash() string {
 	var buf [8]byte
 	// Names are appended into one reused scratch slice: io.WriteString
 	// would convert every name to a fresh []byte (sha256's digest has
-	// no WriteString), which made hashing — the cache-lookup key on
-	// the service hot path — cost one allocation per task.
+	// no WriteString), which made hashing cost one allocation per
+	// task. In hydrad, Hash keys the Analyzer's report cache on every
+	// request that misses the exact-byte response cache.
 	scratch := make([]byte, 0, 64)
 	num := func(v int64) {
 		binary.LittleEndian.PutUint64(buf[:], uint64(v))
