@@ -300,7 +300,7 @@ func TestReportApplyTo(t *testing.T) {
 			t.Fatalf("%s: period %d not applied", s.Name, rep.Tasks[i].Period)
 		}
 	}
-	out, err := hydrac.SimulateCtx(context.Background(), cfgd, hydrac.SimConfig{Horizon: 2000})
+	out, err := hydrac.Simulate(cfgd, hydrac.SimConfig{Horizon: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -33,6 +34,14 @@ func TestBadFlags(t *testing.T) {
 	if code, _, stderr := runCapture(t, "-h"); code != 0 || !strings.Contains(stderr, "-parallel") {
 		t.Errorf("-h exit %d, want 0 with usage on stderr", code)
 	}
+	// Counts below 1 fail with a message instead of panicking in the
+	// victim draw (-objects) or rendering a NaN speedup (-trials).
+	for _, args := range [][]string{{"-objects", "0"}, {"-objects", "-1"}, {"-trials", "0"}, {"-trials", "-3"}} {
+		code, stdout, stderr := runCapture(t, args...)
+		if code != 1 || !strings.Contains(stderr, "must each be at least 1") || strings.Contains(stdout, "NaN") {
+			t.Errorf("%v: exit %d stdout %q stderr %q, want exit 1 with the count error", args, code, stdout, stderr)
+		}
+	}
 }
 
 func TestTinyRunRenders(t *testing.T) {
@@ -44,6 +53,25 @@ func TestTinyRunRenders(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestTinyRunGolden pins the full stdout of a tiny Fig. 5 run, the
+// rover's counterpart of cmd/sweep's fig6_tiny.golden. Regenerate
+// testdata/rover_tiny.golden (`go run ./cmd/rover -trials 4 -hist`)
+// only on a deliberate change to the rover experiments, and say why
+// in CHANGES.md.
+func TestTinyRunGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/rover_tiny.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, out, _ := runCapture(t, "-trials", "4", "-hist")
+	if code != 0 {
+		t.Fatalf("exit %d", code)
+	}
+	if out != string(want) {
+		t.Errorf("tiny run diverged from golden:\n--- got ---\n%s--- want ---\n%s", out, want)
 	}
 }
 

@@ -32,28 +32,11 @@
 // scheme alone; Report.ApplyTo and BaselineVerdict.ApplyTo write a
 // verdict's periods into a set for Simulate, the door to full traces.
 //
-// Implementation packages:
-//
-//	internal/task       task model (RT + security, integer ticks)
-//	internal/rta        uniprocessor response-time analysis (Eq. 1)
-//	internal/partition  RT bin-packing with exact RTA admission
-//	internal/core       HYDRA-C WCRT analysis + Algorithms 1 & 2
-//	internal/baseline   HYDRA, HYDRA-TMax, GLOBAL-TMax baselines
-//	internal/gen        Table-3 synthetic workload generator
-//	internal/seed       per-item RNG seed derivation (splitmix64)
-//	internal/sweep      parallel sweep engine (deterministic sharding)
-//	internal/lru        concurrency-safe LRU for the report cache
-//	internal/sim        discrete-event multicore scheduler
-//	internal/ids        integrity/rootkit detection substrate
-//	internal/rover      the paper's rover platform and Fig. 5 trials
-//	internal/experiments  figure-by-figure reproduction harness
-//
-// See examples/ for runnable scenarios and DESIGN.md for the full
-// system inventory.
+// See examples/ for runnable scenarios and the package table in
+// DESIGN.md for the implementation packages.
 package hydrac
 
 import (
-	"context"
 	"io"
 
 	"hydrac/internal/core"
@@ -124,14 +107,10 @@ const (
 
 // Simulate runs the discrete-event scheduler on a configured set.
 // For the summary quantities alone, prefer WithSimulation, which
-// attaches them to every admitted report; Simulate remains the door
-// to full traces (JobLog, Gantt).
+// attaches them to every admitted report and stops with the context
+// Analyze was given; Simulate remains the door to full traces
+// (JobLog, Gantt).
 func Simulate(ts *TaskSet, cfg SimConfig) (*SimResult, error) { return sim.Run(ts, cfg) }
-
-// SimulateCtx is Simulate with cancellation.
-func SimulateCtx(ctx context.Context, ts *TaskSet, cfg SimConfig) (*SimResult, error) {
-	return sim.RunCtx(ctx, ts, cfg)
-}
 
 // Gantt renders an ASCII schedule chart from a traced run.
 func Gantt(r *SimResult, from, to, step Time) string { return sim.Gantt(r, from, to, step) }

@@ -220,34 +220,3 @@ func TestGenerateHighUtilizationEventuallyFails(t *testing.T) {
 		}
 	}
 }
-
-func TestPeriodClasses(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	cfg := TableThree(2)
-	// Automotive classes at the config's tick scale.
-	classes := make([]int64, 0, 9)
-	for _, p := range AutomotivePeriodsMS() {
-		classes = append(classes, p*cfg.TicksPerMS)
-	}
-	cfg.PeriodClasses = classes
-	allowed := map[int64]bool{}
-	for _, p := range classes {
-		allowed[p] = true
-	}
-	found := map[int64]bool{}
-	for i := 0; i < 10; i++ {
-		ts, err := cfg.Generate(rng, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, rt := range ts.RT {
-			if !allowed[rt.Period] {
-				t.Fatalf("period %d not an automotive class", rt.Period)
-			}
-			found[rt.Period] = true
-		}
-	}
-	if len(found) < 4 {
-		t.Errorf("only %d distinct classes drawn across 10 sets", len(found))
-	}
-}

@@ -48,19 +48,6 @@ type Config struct {
 	// this slack on both sides (rounding drifts it slightly);
 	// 0 means 0.005.
 	UtilizationTolerance float64
-	// PeriodClasses, when non-empty, replaces the log-uniform RT
-	// period draw with a uniform choice among these values (already in
-	// ticks — TicksPerMS is not applied). Automotive task sets use the
-	// classic {1,2,5,10,20,50,100,200,1000} ms classes (Kramer,
-	// Ziegenbein, Hamann — WATERS 2015).
-	PeriodClasses []task.Time
-}
-
-// AutomotivePeriodsMS returns the WATERS 2015 automotive period
-// classes in milliseconds; scale by your tick resolution before
-// assigning to PeriodClasses.
-func AutomotivePeriodsMS() []task.Time {
-	return []task.Time{1, 2, 5, 10, 20, 50, 100, 200, 1000}
 }
 
 // TableThree returns the paper's exact Table 3 configuration for M
@@ -165,12 +152,7 @@ func (c Config) draw(rng *rand.Rand, lo, hi float64) (*task.Set, error) {
 
 	ts := &task.Set{Cores: c.Cores}
 	for i := 0; i < nr; i++ {
-		var period task.Time
-		if len(c.PeriodClasses) > 0 {
-			period = c.PeriodClasses[rng.Intn(len(c.PeriodClasses))]
-		} else {
-			period = LogUniform(rng, c.RTPeriodMin*scale, c.RTPeriodMax*scale)
-		}
+		period := LogUniform(rng, c.RTPeriodMin*scale, c.RTPeriodMax*scale)
 		wcet := roundWCET(period, rtU[i])
 		ts.RT = append(ts.RT, task.RTTask{
 			Name:     fmt.Sprintf("rt%02d", i),

@@ -91,26 +91,3 @@ func DetectionTime(jobs []sim.JobRecord, m ScanModel, attack task.Time, victim i
 	}
 	return Detection{}, nil
 }
-
-// ReactiveDetection models the dependent-checks extension the paper
-// sketches in §6: a first-stage monitor a0 notices the anomaly, and a
-// second-stage action a1 (e.g. a system-call audit) confirms it on its
-// next job that starts after a0's finding. The returned Detection
-// refers to the completion of the confirming a1 job.
-func ReactiveDetection(a0Jobs []sim.JobRecord, m0 ScanModel, a1Jobs []sim.JobRecord, attack task.Time, victim int) (Detection, error) {
-	first, err := DetectionTime(a0Jobs, m0, attack, victim)
-	if err != nil || !first.Detected {
-		return first, err
-	}
-	ordered := append([]sim.JobRecord(nil), a1Jobs...)
-	sort.Slice(ordered, func(a, b int) bool { return ordered[a].Release < ordered[b].Release })
-	for idx, j := range ordered {
-		if len(j.Intervals) == 0 || j.Finish < 0 {
-			continue
-		}
-		if j.Intervals[0].Start >= first.At {
-			return Detection{Detected: true, At: j.Finish, Latency: j.Finish - attack, Job: idx}, nil
-		}
-	}
-	return Detection{}, nil
-}

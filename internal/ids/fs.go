@@ -5,13 +5,16 @@
 //
 //   - a synthetic object store with content hashing and a baseline
 //     snapshot (the Tripwire database),
-//   - a kernel-module registry with rootkit insertion,
-//   - attack injection (data-store tampering / module insertion), and
+//   - attack injection (data-store tampering), and
 //   - detection-latency computation that maps a security job's
 //     execution trace from the scheduler simulator onto scan progress,
 //     reproducing the paper's measurement: the time from the attack
 //     instant until the scanning task actually re-reads the tampered
 //     artifact.
+//
+// The kernel-module checker needs no model of its own: a
+// whole-profile comparison is a one-object ScanModel, which detects
+// an insertion iff its job starts at or after it.
 package ids
 
 import (
@@ -42,12 +45,6 @@ func NewFileSystem(rng *rand.Rand, n, size int) *FileSystem {
 		fs.files[i] = File{Name: fmt.Sprintf("img_%04d.raw", i), Data: data}
 	}
 	return fs
-}
-
-// FromFiles builds a store from explicit file contents (e.g. the
-// frames a simulated camera task produced).
-func FromFiles(files []File) *FileSystem {
-	return &FileSystem{files: append([]File(nil), files...)}
 }
 
 // Len returns the number of files.

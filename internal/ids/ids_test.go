@@ -42,24 +42,6 @@ func TestBaselineUnknownFile(t *testing.T) {
 	}
 }
 
-func TestModuleChecker(t *testing.T) {
-	reg := NewModuleRegistry(DefaultRoverModules()...)
-	chk := NewModuleChecker(reg)
-	if u, m := chk.Check(reg); len(u) != 0 || len(m) != 0 {
-		t.Fatalf("clean profile flagged: %v %v", u, m)
-	}
-	reg.Insert(RootkitName(7))
-	u, m := chk.Check(reg)
-	if len(u) != 1 || u[0] != RootkitName(7) || len(m) != 0 {
-		t.Fatalf("rootkit not flagged: %v %v", u, m)
-	}
-	reg.Remove("vc4")
-	_, m = chk.Check(reg)
-	if len(m) != 1 || m[0] != "vc4" {
-		t.Fatalf("missing module not flagged: %v", m)
-	}
-}
-
 // A single uninterrupted job scanning 10 objects with WCET 100:
 // object k is read during [10k, 10(k+1)).
 func TestDetectionSingleJob(t *testing.T) {
@@ -151,28 +133,6 @@ func TestDetectionWholeJobGranularity(t *testing.T) {
 	d, err := DetectionTime(jobs, m, 5, 0)
 	if err != nil || !d.Detected || d.At != 110 {
 		t.Fatalf("got %+v %v, want detection at 110", d, err)
-	}
-}
-
-func TestReactiveDetection(t *testing.T) {
-	a0 := []sim.JobRecord{
-		{Task: "a0", Release: 0, Finish: 10, Intervals: []sim.Interval{{Start: 0, End: 10}}},
-		{Task: "a0", Release: 100, Finish: 110, Intervals: []sim.Interval{{Start: 100, End: 110}}},
-	}
-	a1 := []sim.JobRecord{
-		{Task: "a1", Release: 0, Finish: 20, Intervals: []sim.Interval{{Start: 10, End: 20}}},
-		{Task: "a1", Release: 150, Finish: 170, Intervals: []sim.Interval{{Start: 150, End: 170}}},
-	}
-	// Attack at 50: a0 detects at 110; the confirming a1 job is the one
-	// starting at 150, finishing 170.
-	d, err := ReactiveDetection(a0, ScanModel{WCET: 10, Objects: 1}, a1, 50, 0)
-	if err != nil || !d.Detected || d.At != 170 || d.Latency != 120 {
-		t.Fatalf("got %+v %v, want confirmation at 170", d, err)
-	}
-	// No a1 job after a0's detection → unconfirmed.
-	d, err = ReactiveDetection(a0, ScanModel{WCET: 10, Objects: 1}, a1[:1], 50, 0)
-	if err != nil || d.Detected {
-		t.Fatalf("confirmed without a follow-up job: %+v", d)
 	}
 }
 

@@ -5,8 +5,7 @@
 // checker). The physical testbed is substituted by the discrete-event
 // scheduler in internal/sim plus the detection substrate in
 // internal/ids; this package supplies the measured task parameters,
-// the platform constants of Table 2, a small grid-world model for the
-// navigation/camera tasks, and the Fig. 5 trial driver.
+// the platform constants of Table 2 and the Fig. 5 trial driver.
 package rover
 
 import (

@@ -1,7 +1,6 @@
 package rover
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -44,41 +43,6 @@ func TestTableTwoMentionsKeyRows(t *testing.T) {
 		if !strings.Contains(tbl, want) {
 			t.Errorf("Table 2 missing %q:\n%s", want, tbl)
 		}
-	}
-}
-
-func TestWorldNavigation(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	w := NewWorld(rng, 20, 20, 0.15)
-	for i := 0; i < 200; i++ {
-		w.NavigationStep()
-		if w.X < 0 || w.Y < 0 || w.X >= w.W || w.Y >= w.H {
-			t.Fatalf("rover left the arena: (%d,%d)", w.X, w.Y)
-		}
-	}
-	if w.Moves == 0 {
-		t.Error("rover never moved in a 15 percent density arena")
-	}
-	frame := w.CaptureFrame()
-	if len(frame) != 64 {
-		t.Errorf("frame size %d, want 64", len(frame))
-	}
-	if r := w.Render(); !strings.Contains(r, "R") {
-		t.Error("render lacks the rover marker")
-	}
-}
-
-func TestWorldBoxedIn(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	w := NewWorld(rng, 3, 3, 0)
-	// Wall the rover in manually.
-	for _, d := range [][2]int{{1, 0}, {0, 1}, {-1, 0}, {0, -1}} {
-		w.obstacles[[2]int{w.X + d[0], w.Y + d[1]}] = true
-	}
-	x, y := w.X, w.Y
-	w.NavigationStep()
-	if w.X != x || w.Y != y {
-		t.Error("boxed-in rover moved")
 	}
 }
 
@@ -146,48 +110,5 @@ func TestRunControlledShapes(t *testing.T) {
 	ratio := migrating.DetectionMS.Mean() / pinned.DetectionMS.Mean()
 	if ratio < 0.7 || ratio > 1.3 {
 		t.Errorf("controlled detection ratio %.2f outside parity band", ratio)
-	}
-}
-
-func TestRunMissionEndToEnd(t *testing.T) {
-	cfg := DefaultMissionConfig()
-	cfg.Horizon = 60000
-	rep, err := RunMission(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.RTDeadlineMisses != 0 {
-		t.Fatalf("RT misses: %d", rep.RTDeadlineMisses)
-	}
-	if rep.Moves == 0 || rep.Frames == 0 {
-		t.Fatalf("mission inert: %d moves, %d frames", rep.Moves, rep.Frames)
-	}
-	if rep.TamperDetectedAt <= rep.TamperAt {
-		t.Fatalf("tamper detection at %d not after attack %d", rep.TamperDetectedAt, rep.TamperAt)
-	}
-	if rep.RootkitDetectedAt <= rep.RootkitAt {
-		t.Fatalf("rootkit detection at %d not after attack %d", rep.RootkitDetectedAt, rep.RootkitAt)
-	}
-	if rep.Migrations == 0 {
-		t.Error("semi-partitioned mission never migrated")
-	}
-	if rep.TamperedFrame == "" {
-		t.Error("tampered frame unnamed")
-	}
-}
-
-func TestRunMissionDeterministicPerSeed(t *testing.T) {
-	cfg := DefaultMissionConfig()
-	cfg.Horizon = 45000
-	a, err := RunMission(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunMission(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *a != *b {
-		t.Fatalf("same seed diverged:\n%+v\n%+v", a, b)
 	}
 }

@@ -130,8 +130,12 @@ type trialPair struct {
 // both schemes, sharding trials across cfg.Parallel workers. Each
 // trial draws its scenario from seed.At(cfg.Seed, stream, trial), and
 // shard partials merge in trial order, so results are identical at
-// any worker count.
+// any worker count. A config with any count below 1 is rejected.
 func runTrialSweep(cfg TrialConfig, stream int, base *task.Set, a, b schemePlan) (*SchemeResult, *SchemeResult, error) {
+	if cfg.Trials < 1 || cfg.Objects < 1 || cfg.AttackWindow < 1 || cfg.DetectionHorizon < 1 {
+		return nil, nil, fmt.Errorf("rover: trials %d, objects %d, attack window %d and detection horizon %d must each be at least 1",
+			cfg.Trials, cfg.Objects, cfg.AttackWindow, cfg.DetectionHorizon)
+	}
 	res, err := sweep.Run(
 		sweep.Config{Groups: 1, PerGroup: cfg.Trials, Workers: cfg.Parallel, Progress: cfg.Progress},
 		func() *trialPair {

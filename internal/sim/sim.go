@@ -79,26 +79,10 @@ type Config struct {
 	// Seed drives the jitter/variation randomness; runs are
 	// reproducible for a fixed seed.
 	Seed int64
-	// ModeSwitches implements the paper's §6 reactive extension:
-	// dependent security checks that escalate after an anomaly. Each
-	// entry makes the named security task execute with AlertWCET
-	// (its normal action a0 plus the follow-up a1) for jobs released
-	// in [At, Until); zero Until means "until the horizon".
-	ModeSwitches []ModeSwitch
 	// DebugChecks enables internal invariant checking at every
 	// scheduling event (work conservation, band ordering). Meant for
 	// tests; a violated invariant aborts the run with an error.
 	DebugChecks bool
-}
-
-// ModeSwitch escalates one security task's execution demand during a
-// window — the "job τs^{j+1} performs both actions a0 and a1"
-// behaviour of §6.
-type ModeSwitch struct {
-	Task      string
-	At        task.Time
-	Until     task.Time
-	AlertWCET task.Time
 }
 
 // band separates the two priority classes: every RT task outranks
@@ -280,30 +264,11 @@ func (e *engine) run() (*Result, error) {
 // so the check compiles to a mask.
 const eventsPerCtxCheck = 1024
 
-// alertWCET returns the escalated demand for a job of the named task
-// released at rel, or 0 when no mode switch applies.
-func (e *engine) alertWCET(name string, rel task.Time) task.Time {
-	for _, ms := range e.cfg.ModeSwitches {
-		if ms.Task != name || rel < ms.At {
-			continue
-		}
-		if ms.Until == 0 || rel < ms.Until {
-			return ms.AlertWCET
-		}
-	}
-	return 0
-}
-
 // releaseDue releases every job whose release time is now.
 func (e *engine) releaseDue() {
 	for i, info := range e.infos {
 		for e.nextRelease[i] <= e.now {
 			demand := info.wcet
-			if info.band == bandSecurity {
-				if alert := e.alertWCET(info.name, e.nextRelease[i]); alert > 0 {
-					demand = alert
-				}
-			}
 			if e.cfg.ExecutionVariation > 0 {
 				low := float64(demand) * (1 - e.cfg.ExecutionVariation)
 				demand = task.Time(low + e.rng.Float64()*(float64(demand)-low))

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -180,6 +182,53 @@ func TestRunValidation(t *testing.T) {
 	ts2.RT[0].Core = -1
 	if _, err := Run(ts2, Config{Horizon: 100}); err == nil {
 		t.Error("unpinned RT task accepted under semi-partitioned policy")
+	}
+}
+
+// cancelAfterEntry is a context whose Err is nil on its first call
+// (RunCtx's entry check) and cancelAfter on every later one, so only
+// the event loop's periodic check can stop a run under it.
+type cancelAfterEntry struct {
+	context.Context
+	cancelAfter error
+	calls       int
+}
+
+func (c *cancelAfterEntry) Err() error {
+	if c.calls++; c.calls == 1 {
+		return nil
+	}
+	return c.cancelAfter
+}
+
+// RunCtx must stop inside its event loop, not only at entry: a caller
+// whose context ends mid-run (an Analyzer WithSimulation serving a
+// request that timed out) must not keep a core busy to the horizon.
+func TestRunCtxCancelsMidRun(t *testing.T) {
+	ts := &task.Set{
+		Cores:    1,
+		RT:       []task.RTTask{{Name: "a", WCET: 1, Period: 4, Deadline: 4, Core: 0}},
+		Security: []task.SecurityTask{{Name: "s", WCET: 1, Period: 8, MaxPeriod: 8, Core: -1}},
+	}
+	cfg := Config{Horizon: 40 * eventsPerCtxCheck}
+
+	// A context that never ends sees a loop check, so the horizon runs
+	// past eventsPerCtxCheck events.
+	live := &cancelAfterEntry{Context: context.Background()}
+	if _, err := RunCtx(live, ts, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if live.calls < 2 {
+		t.Fatalf("Err polled %d times: the run ended before the loop checked the context", live.calls)
+	}
+
+	ended := &cancelAfterEntry{Context: context.Background(), cancelAfter: context.Canceled}
+	res, err := RunCtx(ended, ts, cfg)
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("RunCtx = %v, %v; want nil, context.Canceled", res, err)
+	}
+	if ended.calls != 2 {
+		t.Errorf("Err polled %d times, want 2: the entry check and the first loop check", ended.calls)
 	}
 }
 
