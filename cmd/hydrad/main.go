@@ -8,7 +8,7 @@
 // Usage:
 //
 //	hydrad [-addr HOST:PORT] [-cache N] [-heuristic H]
-//	       [-baselines hydra,global-tmax,...] [-sim-horizon N] [-sim-seed S]
+//	       [-baselines hydra,global-tmax,...] [-sim-horizon N]
 //	       [-data-dir DIR] [-wal-sync=BOOL] [-compact-every N]
 //	       [-max-inflight N] [-max-queue N] [-queue-wait D] [-request-timeout D]
 //	       [-read-timeout D] [-write-timeout D] [-idle-timeout D]
@@ -107,7 +107,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	heuristic := fs.String("heuristic", "best-fit", "partitioning heuristic: best-fit | first-fit | worst-fit | next-fit")
 	baselines := fs.String("baselines", "", "comma-separated baseline schemes to attach to every report (hydra, hydra-aggressive, hydra-tmax, global-tmax)")
 	simHorizon := fs.Int64("sim-horizon", 0, "when positive, simulate every admitted set for this many ticks")
-	simSeed := fs.Int64("sim-seed", 0, "seed for the simulation's jitter/variation randomness")
 	maxInflight := fs.Int("max-inflight", 0, "max concurrently executing requests; 0 disables the admission gate")
 	maxQueue := fs.Int("max-queue", 64, "max requests waiting for a slot beyond -max-inflight; excess is shed with 429 (only meaningful with -max-inflight)")
 	queueWait := fs.Duration("queue-wait", hydradhttp.DefaultQueueWait, "longest a queued request waits for a slot before a 429 (only meaningful with -max-inflight)")
@@ -130,7 +129,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	a, summary, err := buildAnalyzer(*cacheSize, *heuristic, *baselines, *simHorizon, *simSeed)
+	a, summary, err := buildAnalyzer(*cacheSize, *heuristic, *baselines, *simHorizon)
 	if err != nil {
 		fmt.Fprintln(stderr, "hydrad:", err)
 		return 2
@@ -320,7 +319,7 @@ const maxBodyBytes = hydradhttp.MaxBodyBytes
 
 // buildAnalyzer translates flags into Analyzer options and a summary
 // for /healthz.
-func buildAnalyzer(cacheSize int, heuristic, baselines string, simHorizon, simSeed int64) (*hydrac.Analyzer, map[string]any, error) {
+func buildAnalyzer(cacheSize int, heuristic, baselines string, simHorizon int64) (*hydrac.Analyzer, map[string]any, error) {
 	var opts []hydrac.AnalyzerOption
 	summary := map[string]any{
 		"cache":     cacheSize,
@@ -345,7 +344,7 @@ func buildAnalyzer(cacheSize int, heuristic, baselines string, simHorizon, simSe
 	}
 	if simHorizon > 0 {
 		opts = append(opts, hydrac.WithSimulation(hydrac.SimConfig{
-			Policy: hydrac.SemiPartitioned, Horizon: simHorizon, Seed: simSeed,
+			Policy: hydrac.SemiPartitioned, Horizon: simHorizon,
 		}))
 		summary["sim_horizon"] = simHorizon
 	}

@@ -262,6 +262,44 @@ func TestOversizedBody(t *testing.T) {
 	}
 }
 
+// -sim-horizon attaches a simulation block to every report and shows
+// up in the healthz summary.
+func TestSimHorizonFlag(t *testing.T) {
+	a, summary, err := buildAnalyzer(0, "best-fit", "", 5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(hydradhttp.NewHandler(hydradhttp.Config{Analyzer: a, Summary: summary}))
+	defer srv.Close()
+
+	code, body := postJSON(t, srv.URL+"/v1/analyze", roverJSON(t))
+	if code != http.StatusOK {
+		t.Fatalf("analyze: status %d: %s", code, body)
+	}
+	rep, err := hydrac.ReadReport(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Simulation == nil || rep.Simulation.Horizon != 5000 {
+		t.Fatalf("report simulation = %+v, want a block over horizon 5000", rep.Simulation)
+	}
+
+	resp, err := http.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var health struct {
+		Config map[string]any `json:"config"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
+		t.Fatal(err)
+	}
+	if got := health.Config["sim_horizon"]; got != float64(5000) {
+		t.Fatalf("healthz config sim_horizon = %v, want 5000", got)
+	}
+}
+
 func TestRunFlagHandling(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-h"}, &out, &errb); code != 0 {

@@ -67,7 +67,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	res, err := experiments.Fig5(cfg)
 	if err != nil {
-		fmt.Fprintln(stderr, "rover:", err)
+		fmt.Fprintln(stderr, err) // internal/rover errors carry the "rover: " prefix
 		return 1
 	}
 	fmt.Fprint(stdout, res.Render())

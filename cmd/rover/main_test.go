@@ -41,6 +41,9 @@ func TestBadFlags(t *testing.T) {
 		if code != 1 || !strings.Contains(stderr, "must each be at least 1") || strings.Contains(stdout, "NaN") {
 			t.Errorf("%v: exit %d stdout %q stderr %q, want exit 1 with the count error", args, code, stdout, stderr)
 		}
+		if !strings.HasPrefix(stderr, "rover: ") || strings.Count(stderr, "rover: ") != 1 {
+			t.Errorf("%v: stderr %q, want exactly one leading \"rover: \"", args, stderr)
+		}
 	}
 }
 

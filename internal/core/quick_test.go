@@ -69,7 +69,7 @@ func TestQuickWCRTFixedPoint(t *testing.T) {
 		sys := &System{M: s.M, RTCores: s.RTCores}
 		hp := s.interferers(3)
 		limit := task.Time(1 << 22)
-		r, ok := sys.MigratingWCRT(s.Cs, hp, limit, Dominance)
+		r, ok := NewScratch(sys).MigratingWCRT(s.Cs, hp, limit, Dominance)
 		if !ok {
 			return true
 		}
@@ -93,8 +93,8 @@ func TestQuickWCRTMonotoneInInterference(t *testing.T) {
 		sys := &System{M: s.M, RTCores: s.RTCores}
 		hp := s.interferers(3)
 		limit := task.Time(1 << 22)
-		rSmall, okSmall := sys.MigratingWCRT(s.Cs, hp[:len(hp)-1], limit, Dominance)
-		rBig, okBig := sys.MigratingWCRT(s.Cs, hp, limit, Dominance)
+		rSmall, okSmall := NewScratch(sys).MigratingWCRT(s.Cs, hp[:len(hp)-1], limit, Dominance)
+		rBig, okBig := NewScratch(sys).MigratingWCRT(s.Cs, hp, limit, Dominance)
 		if !okSmall {
 			return true
 		}
@@ -117,8 +117,8 @@ func TestQuickWCRTMonotoneInCores(t *testing.T) {
 		sysM1 := &System{M: s.M + 1, RTCores: grown}
 		hp := s.interferers(3)
 		limit := task.Time(1 << 22)
-		rM, okM := sysM.MigratingWCRT(s.Cs, hp, limit, Dominance)
-		rM1, okM1 := sysM1.MigratingWCRT(s.Cs, hp, limit, Dominance)
+		rM, okM := NewScratch(sysM).MigratingWCRT(s.Cs, hp, limit, Dominance)
+		rM1, okM1 := NewScratch(sysM1).MigratingWCRT(s.Cs, hp, limit, Dominance)
 		if !okM {
 			return true
 		}

@@ -395,12 +395,22 @@ const replayCeiling task.Time = 1 << 50
 // the value moves constant factors, never results.
 const creepStride task.Time = 64
 
-// MigratingWCRT is the scratch-backed form of System.MigratingWCRT:
-// identical results — the identical refinement sequence, with
-// clamp-bound creep resolved through the piecewise-linear form of Ω
-// instead of one full evaluation per tick — and no steady-state
-// allocations. The Exhaustive mode delegates to the literal Eq. 8
-// enumeration (a test oracle; it allocates freely).
+// MigratingWCRT computes the worst-case response time of a migrating
+// task with execution time cs, under interference from the partitioned
+// RT band of the scratch's System and the higher-priority migrating
+// tasks hp (whose periods and response times are already known). The
+// fixed-point iteration (Eq. 7)
+//
+//	x ← ⌊Ω(x)/M⌋ + Cs
+//
+// starts at x = Cs and stops at the least fixed point, or reports
+// failure once x exceeds limit (the task is then unschedulable within
+// its period bound, §4.4). It runs the refinement sequence of the
+// reference creep (fixedPoint over omegaDominance), with clamp-bound
+// creep resolved through the piecewise-linear form of Ω instead of one
+// full evaluation per tick, and makes no steady-state allocations. The
+// Exhaustive mode delegates to the literal Eq. 8 enumeration (a test
+// oracle; it allocates freely).
 func (sc *Scratch) MigratingWCRT(cs task.Time, hp []Interferer, limit task.Time, mode CarryInMode) (task.Time, bool) {
 	if cs > limit {
 		return task.Infinity, false

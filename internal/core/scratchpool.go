@@ -26,7 +26,7 @@ func NewScratchPool() *ScratchPool {
 }
 
 // DefaultScratchPool serves the convenience entry points that have no
-// longer-lived owner to borrow from (System.MigratingWCRT,
+// longer-lived owner to borrow from (System.ResponseTimes,
 // SelectPeriodsCtx, the baselines). Long-lived services may share it
 // or hold their own pool.
 var DefaultScratchPool = NewScratchPool()

@@ -45,28 +45,6 @@ const (
 	Exhaustive
 )
 
-// MigratingWCRT computes the worst-case response time of a migrating
-// task with execution time cs, under interference from the partitioned
-// RT band of sys and the higher-priority migrating tasks hp (whose
-// periods and response times are already known). The fixed-point
-// iteration (Eq. 7)
-//
-//	x ← ⌊Ω(x)/M⌋ + Cs
-//
-// starts at x = Cs and stops at the least fixed point, or reports
-// failure once x exceeds limit (the task is then unschedulable within
-// its period bound, §4.4).
-//
-// This convenience form borrows a Scratch from DefaultScratchPool for
-// the call; hot paths (period selection, the admission engine, the
-// baselines) thread one Scratch through instead. Results are
-// identical either way.
-func (sys *System) MigratingWCRT(cs task.Time, hp []Interferer, limit task.Time, mode CarryInMode) (task.Time, bool) {
-	sc := DefaultScratchPool.Get(sys)
-	defer DefaultScratchPool.Put(sc)
-	return sc.MigratingWCRT(cs, hp, limit, mode)
-}
-
 // MaxFixpointIterations bounds the Eq. 7 iteration. Near the clamp
 // boundary (every core's interference bound x − Cs + 1 binding at
 // once) the naive recurrence can creep upward one tick per step, so

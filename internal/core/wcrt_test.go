@@ -10,7 +10,7 @@ import (
 
 func TestMigratingWCRTIdleSystem(t *testing.T) {
 	sys := &System{M: 2, RTCores: make([][]Demand, 2)}
-	r, ok := sys.MigratingWCRT(7, nil, 100, Dominance)
+	r, ok := NewScratch(sys).MigratingWCRT(7, nil, 100, Dominance)
 	if !ok || r != 7 {
 		t.Fatalf("idle system: got (%d, %v), want (7, true)", r, ok)
 	}
@@ -18,7 +18,7 @@ func TestMigratingWCRTIdleSystem(t *testing.T) {
 
 func TestMigratingWCRTWCETBeyondLimit(t *testing.T) {
 	sys := &System{M: 2}
-	if _, ok := sys.MigratingWCRT(11, nil, 10, Dominance); ok {
+	if _, ok := NewScratch(sys).MigratingWCRT(11, nil, 10, Dominance); ok {
 		t.Fatal("WCET beyond Tmax accepted")
 	}
 }
@@ -48,7 +48,7 @@ func TestMigratingWCRTReducesToUniprocessor(t *testing.T) {
 		cs := 1 + task.Time(rng.Intn(10))
 		limit := task.Time(100000)
 		sys := &System{M: 1, RTCores: [][]Demand{demands}}
-		got, okGot := sys.MigratingWCRT(cs, nil, limit, Dominance)
+		got, okGot := NewScratch(sys).MigratingWCRT(cs, nil, limit, Dominance)
 		want, okWant := rta.ResponseTime(cs, hpRTA, limit)
 		if okGot != okWant || (okGot && got != want) {
 			t.Fatalf("trial %d: semi-partitioned M=1 gave (%d,%v), uniprocessor RTA gave (%d,%v)\ndemands=%+v cs=%d",
@@ -69,7 +69,7 @@ func TestMigratingWCRTTwoCoreExample(t *testing.T) {
 		{{WCET: 2, Period: 4}},
 		{{WCET: 3, Period: 6}},
 	}}
-	r, ok := sys.MigratingWCRT(4, nil, 100, Dominance)
+	r, ok := NewScratch(sys).MigratingWCRT(4, nil, 100, Dominance)
 	if !ok || r != 8 {
 		t.Fatalf("got (%d, %v), want (8, true)", r, ok)
 	}
@@ -113,7 +113,7 @@ func TestMigratingBeatsPinnedWorstCore(t *testing.T) {
 		if !feasibleEverywhere {
 			continue
 		}
-		got, ok := sys.MigratingWCRT(cs, nil, limit, Dominance)
+		got, ok := NewScratch(sys).MigratingWCRT(cs, nil, limit, Dominance)
 		if !ok {
 			t.Fatalf("trial %d: migrating task diverged where every pinned core converges", trial)
 		}
@@ -148,8 +148,8 @@ func TestDominanceUpperBoundsExhaustive(t *testing.T) {
 		cs := 1 + task.Time(rng.Intn(15))
 		limit := task.Time(2000)
 
-		rd, okd := sys.MigratingWCRT(cs, hp, limit, Dominance)
-		re, oke := sys.MigratingWCRT(cs, hp, limit, Exhaustive)
+		rd, okd := NewScratch(sys).MigratingWCRT(cs, hp, limit, Dominance)
+		re, oke := NewScratch(sys).MigratingWCRT(cs, hp, limit, Exhaustive)
 		switch {
 		case !okd && !oke:
 			// both diverge: fine
@@ -178,8 +178,8 @@ func TestDominanceExactForOneInterferer(t *testing.T) {
 		hp := []Interferer{{WCET: c, Period: p, Resp: r}}
 		cs := 1 + task.Time(rng.Intn(10))
 		limit := task.Time(5000)
-		rd, okd := sys.MigratingWCRT(cs, hp, limit, Dominance)
-		re, oke := sys.MigratingWCRT(cs, hp, limit, Exhaustive)
+		rd, okd := NewScratch(sys).MigratingWCRT(cs, hp, limit, Dominance)
+		re, oke := NewScratch(sys).MigratingWCRT(cs, hp, limit, Exhaustive)
 		if okd != oke || (okd && rd != re) {
 			t.Fatalf("trial %d: dominance (%d,%v) != exhaustive (%d,%v)", trial, rd, okd, re, oke)
 		}

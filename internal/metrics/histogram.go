@@ -13,7 +13,6 @@ import (
 type Histogram struct {
 	Lo, Hi float64
 	counts []int
-	n      int
 }
 
 // NewHistogram creates a histogram with the given bucket count.
@@ -34,7 +33,6 @@ func (h *Histogram) Add(v float64) {
 		i = len(h.counts) - 1
 	}
 	h.counts[i]++
-	h.n++
 }
 
 // AddSample folds a whole sample in.
@@ -43,12 +41,6 @@ func (h *Histogram) AddSample(s *Sample) {
 		h.Add(v)
 	}
 }
-
-// N returns the observation count.
-func (h *Histogram) N() int { return h.n }
-
-// Bucket returns the count of bucket i.
-func (h *Histogram) Bucket(i int) int { return h.counts[i] }
 
 // Render draws the histogram with the given maximum bar width.
 func (h *Histogram) Render(width int) string {

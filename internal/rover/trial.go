@@ -228,12 +228,12 @@ func runTrial(out *SchemeResult, ts *task.Set, policy sim.Policy, cfg TrialConfi
 	tw, err := ids.DetectionTime(res.JobsOf("tripwire"),
 		ids.ScanModel{WCET: TripwireWCET, Objects: cfg.Objects}, twAttack, victim)
 	if err != nil {
-		return err
+		return fmt.Errorf("rover: %s tripwire detection: %w", out.Scheme, err)
 	}
 	km, err := ids.DetectionTime(res.JobsOf("kmodcheck"),
 		ids.ScanModel{WCET: KmodWCET, Objects: 1}, kmAttack, 0)
 	if err != nil {
-		return err
+		return fmt.Errorf("rover: %s kmodcheck detection: %w", out.Scheme, err)
 	}
 	for _, d := range []struct {
 		det    ids.Detection
@@ -250,7 +250,7 @@ func runTrial(out *SchemeResult, ts *task.Set, policy sim.Policy, cfg TrialConfi
 	// Fig. 5b: context switches over the 45 s perf window.
 	csRun, err := sim.Run(ts, sim.Config{Policy: policy, Horizon: ObservationWindowMS, Offsets: off})
 	if err != nil {
-		return err
+		return fmt.Errorf("rover: %s context-switch simulation: %w", out.Scheme, err)
 	}
 	out.ContextSwitches.Add(float64(csRun.ContextSwitches))
 	return nil
@@ -267,7 +267,7 @@ func RunControlled(cfg TrialConfig) (migrating, pinned *SchemeResult, err error)
 	base := TaskSet()
 	hres, err := baseline.HydraAggressive(base)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("rover: HYDRA baseline: %w", err)
 	}
 	if !hres.Schedulable {
 		return nil, nil, fmt.Errorf("rover: HYDRA cannot configure the rover set")

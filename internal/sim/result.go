@@ -77,15 +77,6 @@ func (r *Result) record(name string) *TaskStats {
 	return s
 }
 
-// TotalIdle returns the summed idle time across cores.
-func (r *Result) TotalIdle() task.Time {
-	idle := r.Horizon * task.Time(len(r.CoreBusy))
-	for _, b := range r.CoreBusy {
-		idle -= b
-	}
-	return idle
-}
-
 // Utilization returns the fraction of core-time spent executing.
 func (r *Result) Utilization() float64 {
 	if r.Horizon == 0 || len(r.CoreBusy) == 0 {

@@ -303,9 +303,6 @@ func TestResultHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idle := res.TotalIdle(); idle != 150 {
-		t.Errorf("TotalIdle = %d, want 150", idle)
-	}
 	if u := res.Utilization(); u < 0.24 || u > 0.26 {
 		t.Errorf("Utilization = %v, want 0.25", u)
 	}

@@ -43,7 +43,7 @@ func copyTree(t *testing.T, src, dst string) {
 	}
 }
 
-// mutilateTail finds the session's newest WAL segment in the copied
+// mutilateTail finds the session's newest WAL file in the copied
 // image and applies f to its bytes — simulating the torn tails a
 // crash mid-append leaves behind.
 func mutilateTail(t *testing.T, root string, f func([]byte) []byte) {
@@ -96,10 +96,9 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Small CompactEvery and SegmentBytes so the prefix images
-			// straddle compactions and segment rotations, not just the
-			// easy single-segment case.
-			opts := store.Options{CompactEvery: 3, SegmentBytes: 128}
+			// A small CompactEvery so the prefix images straddle
+			// compactions, not just the easy single-generation case.
+			opts := store.Options{CompactEvery: 3}
 			root := t.TempDir()
 			s, err := store.Open(root, a, opts)
 			if err != nil {
@@ -245,7 +244,7 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 				recoverAndMatch(t, garbage, k)
 
 				// Crash mid-write: a truncated tail loses whole records
-				// off the end of the final segment, never corrupts —
+				// off the end of the log, never corrupts —
 				// recovery lands on SOME shorter committed prefix.
 				if k > 0 {
 					torn := filepath.Join(t.TempDir(), "torn")

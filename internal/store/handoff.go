@@ -109,7 +109,7 @@ func (s *Store) exportLocked(e *entry) (Export, error) {
 	if err != nil {
 		return Export{}, err
 	}
-	recs, err := wal.ReadAll(e.dir, s.walOptions(gen))
+	recs, err := wal.ReadAll(walPath(e.dir, gen), s.walOptions())
 	if err != nil {
 		return Export{}, err
 	}
@@ -246,7 +246,10 @@ func (s *Store) importLocked(ctx context.Context, e *entry, exp Export, token st
 	if err := writeSnapshot(s.fs, e.dir, 0, set, exp.Cursor); err != nil {
 		return fmt.Errorf("%w: %v", ErrStorage, err)
 	}
-	l, _, err := wal.Open(e.dir, s.walOptions(0))
+	// Unsynced appends: nothing is acknowledged before Close, the
+	// replay and the token write all succeed, and Close syncs the log
+	// once instead of once per delta.
+	l, _, err := wal.Open(walPath(e.dir, 0), wal.Options{NoSync: true, FS: s.fs})
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrStorage, err)
 	}

@@ -321,6 +321,38 @@ func TestImportIdempotentWithToken(t *testing.T) {
 	}
 }
 
+// Nothing an import writes is acknowledged before the log is closed,
+// replayed and the token written, so the shipped deltas are appended
+// unsynced and Close's one sync makes them durable: the fsync count
+// does not grow with the number of deltas.
+func TestImportSyncsLogOnce(t *testing.T) {
+	ctx := context.Background()
+	syncs := func(deltas int) int {
+		in := faultfs.Wrap(nil)
+		st, err := Open(t.TempDir(), handoffAnalyzer(t), Options{ProbeEvery: -1, FS: in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		exp := Export{Set: encodeSet(t, handoffBase())}
+		for k := 0; k < deltas; k++ {
+			var buf bytes.Buffer
+			d := handoffDelta(k)
+			if err := hydrac.EncodeDelta(&buf, &d); err != nil {
+				t.Fatal(err)
+			}
+			exp.Deltas = append(exp.Deltas, buf.Bytes())
+		}
+		if err := st.Import(ctx, "sess-syncs", exp, "tok"); err != nil {
+			t.Fatal(err)
+		}
+		return in.Count(faultfs.OpSync)
+	}
+	if one, twenty := syncs(1), syncs(20); one != twenty {
+		t.Fatalf("Import made %d fsyncs for 1 delta and %d for 20, want the same", one, twenty)
+	}
+}
+
 // The token file vouches for a committed import, so it must be as
 // durable as the session: a failed fsync of it fails the import with
 // ErrStorage and leaves neither the session nor a confirmable commit

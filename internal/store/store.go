@@ -11,8 +11,12 @@
 //
 // Per-session on-disk layout (<root>/<id>/):
 //
-//	snap-<gen>.json   snapshot: placed task set + placement cursor
-//	g<gen>-NNNNNNNN.wal  CRC-framed segments of committed deltas
+//	snap-<gen>.json       snapshot: placed task set + placement cursor
+//	g<gen>-00000001.wal   CRC-framed log of the deltas committed after it
+//
+// Each generation has one log file, named as its first segment was
+// when logs were segmented, so directories written then open
+// unchanged.
 //
 // Commit ordering: the session's commit hook appends the delta to the
 // WAL (and fsyncs) BEFORE the session installs the new state, so an
@@ -50,7 +54,7 @@ var ErrNotFound = errors.New("store: no such session")
 var ErrExists = errors.New("store: session already exists")
 
 // ErrStorage marks commit failures caused by the persistence layer
-// (WAL append, rotation) rather than by the admission input — callers
+// (WAL append, compaction) rather than by the admission input — callers
 // surface these as server faults, not client errors.
 var ErrStorage = errors.New("store: storage failure")
 
@@ -95,8 +99,6 @@ type Options struct {
 	// empty log once it holds this many records; <= 0 means
 	// DefaultCompactEvery.
 	CompactEvery int
-	// SegmentBytes is the WAL segment size; <= 0 uses the WAL default.
-	SegmentBytes int64
 	// ProbeEvery is how often a background goroutine attempts to
 	// re-arm degraded sessions from disk; 0 means DefaultProbeEvery,
 	// negative disables the loop (tests drive Probe directly).
@@ -450,7 +452,7 @@ func (s *Store) createLocked(ctx context.Context, e *entry, base *hydrac.TaskSet
 	if err := writeSnapshot(s.fs, e.dir, 0, sess.Set(), sess.PlacementCursor()); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrStorage, err)
 	}
-	l, _, err := wal.Open(e.dir, s.walOptions(0))
+	l, _, err := wal.Open(walPath(e.dir, 0), s.walOptions())
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrStorage, err)
 	}
@@ -569,7 +571,14 @@ func (s *Store) loadFromDisk(ctx context.Context, e *entry) (*hydrac.Session, *w
 	if err != nil {
 		return nil, nil, 0, nil, err
 	}
-	l, recs, err := wal.Open(e.dir, s.walOptions(gen))
+	// An earlier build rotated a log past 1 MiB into a second segment,
+	// which this build does not replay. Refuse it before wal.Open may
+	// repair anything, so the directory is left as it was.
+	second := filepath.Join(e.dir, fmt.Sprintf("g%d-00000002.wal", gen))
+	if _, err := os.Stat(second); err == nil {
+		return nil, nil, 0, nil, fmt.Errorf("%s continues generation %d's log in a second segment, which this build cannot replay", second, gen)
+	}
+	l, recs, err := wal.Open(walPath(e.dir, gen), s.walOptions())
 	if err != nil {
 		return nil, nil, 0, nil, err
 	}
@@ -667,7 +676,7 @@ func (s *Store) compact(e *entry, state *hydrac.TaskSet, cursor int) {
 		s.logf("store: session %s: compaction snapshot failed (will retry): %v", e.id, err)
 		return
 	}
-	l, _, err := wal.Open(e.dir, s.walOptions(next))
+	l, _, err := wal.Open(walPath(e.dir, next), s.walOptions())
 	if err != nil {
 		e.markDegraded(fmt.Errorf("opening WAL generation %d after its snapshot was written: %v", next, err))
 		s.logf("store: session %s: compaction lost its log, session degraded to read-only: %v", e.id, err)
@@ -680,18 +689,20 @@ func (s *Store) compact(e *entry, state *hydrac.TaskSet, cursor int) {
 }
 
 // removeGeneration deletes one superseded generation's snapshot and
-// WAL segments, best-effort.
+// log, then syncs the directory once, best-effort.
 func (s *Store) removeGeneration(dir string, gen uint64) {
-	if err := s.fs.Remove(snapshotPath(dir, gen)); err != nil && !errors.Is(err, os.ErrNotExist) {
-		s.logf("store: removing %s: %v", snapshotPath(dir, gen), err)
+	for _, path := range []string{snapshotPath(dir, gen), walPath(dir, gen)} {
+		if err := s.fs.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+			s.logf("store: removing %s: %v", path, err)
+		}
 	}
-	if err := wal.RemoveGeneration(s.fs, dir, genPrefix(gen)); err != nil {
-		s.logf("store: removing WAL generation %d in %s: %v", gen, dir, err)
+	if err := s.fs.SyncDir(dir); err != nil {
+		s.logf("store: syncing %s after removing generation %d: %v", dir, gen, err)
 	}
 }
 
-func (s *Store) walOptions(gen uint64) wal.Options {
-	return wal.Options{Prefix: genPrefix(gen), NoSync: s.opt.NoSync, SegmentBytes: s.opt.SegmentBytes, FS: s.fs}
+func (s *Store) walOptions() wal.Options {
+	return wal.Options{NoSync: s.opt.NoSync, FS: s.fs}
 }
 
 func (s *Store) logf(format string, args ...any) {
@@ -700,8 +711,10 @@ func (s *Store) logf(format string, args ...any) {
 	}
 }
 
-// genPrefix names generation gen's WAL segment files.
-func genPrefix(gen uint64) string { return fmt.Sprintf("g%d-", gen) }
+// walPath names generation gen's log file.
+func walPath(dir string, gen uint64) string {
+	return filepath.Join(dir, fmt.Sprintf("g%d-00000001.wal", gen))
+}
 
 // validID accepts ids that are safe as directory names everywhere:
 // 1-128 characters of [a-zA-Z0-9_-]. Session ids minted by hydrad

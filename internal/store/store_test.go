@@ -315,7 +315,7 @@ func TestReplayDivergenceIsAnError(t *testing.T) {
 	if err := hydrac.EncodeDelta(&buf, &bad); err != nil {
 		t.Fatal(err)
 	}
-	l, _, err := wal.Open(filepath.Join(dir, "d"), wal.Options{Prefix: "g0-"})
+	l, _, err := wal.Open(filepath.Join(dir, "d", "g0-00000001.wal"), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,6 +328,87 @@ func TestReplayDivergenceIsAnError(t *testing.T) {
 
 	if _, err := store.Open(dir, a, store.Options{}); err == nil || !strings.Contains(err.Error(), "diverged") {
 		t.Fatalf("recovery over a denied delta: got %v, want divergence error", err)
+	}
+}
+
+// A generation whose log an earlier build rotated into a second
+// segment cannot be replayed by this build: recovery must name the
+// file and leave the directory as it was (the torn tail of the first
+// segment included) instead of silently dropping the second segment's
+// records.
+func TestSecondSegmentFailsRecovery(t *testing.T) {
+	ctx := context.Background()
+	a := newAnalyzer(t)
+	dir := t.TempDir()
+	s, err := store.Open(dir, a, store.Options{CompactEvery: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Create(ctx, "seg", testBase()); err != nil {
+		t.Fatal(err)
+	}
+	sess, release, err := s.Acquire(ctx, "seg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	admitN(t, sess, 3) // generation 1 holds one logged delta
+	release()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	sdir := filepath.Join(dir, "seg")
+	var buf bytes.Buffer
+	d := monitorDelta(3)
+	if err := hydrac.EncodeDelta(&buf, &d); err != nil {
+		t.Fatal(err)
+	}
+	l, _, err := wal.Open(filepath.Join(sdir, "g1-00000002.wal"), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	first, err := os.OpenFile(filepath.Join(sdir, "g1-00000001.wal"), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.Write([]byte{0xDE, 0xAD}); err != nil {
+		t.Fatal(err)
+	}
+	first.Close()
+	files := func() map[string]string {
+		ents, err := os.ReadDir(sdir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := map[string]string{}
+		for _, de := range ents {
+			b, err := os.ReadFile(filepath.Join(sdir, de.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m[de.Name()] = string(b)
+		}
+		return m
+	}
+	before := files()
+
+	if _, err := store.Open(dir, a, store.Options{CompactEvery: 2}); err == nil || !strings.Contains(err.Error(), "g1-00000002.wal") {
+		t.Fatalf("recovery over a second segment: got %v, want an error naming g1-00000002.wal", err)
+	}
+	after := files()
+	if len(after) != len(before) {
+		t.Fatalf("failed recovery changed the directory: %d files, want %d", len(after), len(before))
+	}
+	for name, b := range before {
+		if after[name] != b {
+			t.Errorf("failed recovery changed %s", name)
+		}
 	}
 }
 
@@ -414,7 +495,7 @@ func TestNoSyncCloseFlushes(t *testing.T) {
 // NoSync drops only the per-commit WAL fsync. hydrad runs a -data-dir
 // store with -wal-sync=false as NoSync, that directory outlives the
 // process, and recovery trusts the newest snapshot, so a snapshot and
-// the directory entries of the snapshot and its first segment are
+// the directory entries of the snapshot and its log file are
 // still synced: a failure of any of those syncs fails Create.
 func TestNoSyncStoreSyncsSnapshots(t *testing.T) {
 	ctx := context.Background()
@@ -422,7 +503,7 @@ func TestNoSyncStoreSyncsSnapshots(t *testing.T) {
 	for _, r := range []faultfs.Rule{
 		{Op: faultfs.OpSync, Path: "snap-0.json"},
 		{Op: faultfs.OpSyncDir, Nth: 1}, // after the snapshot's rename
-		{Op: faultfs.OpSyncDir, Nth: 2}, // after the segment's creation
+		{Op: faultfs.OpSyncDir, Nth: 2}, // after the log file's creation
 	} {
 		s, err := store.Open(t.TempDir(), a, store.Options{NoSync: true, ProbeEvery: -1, FS: faultfs.Wrap(nil).Fail(r)})
 		if err != nil {

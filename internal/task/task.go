@@ -13,7 +13,6 @@
 package task
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 )
@@ -91,16 +90,6 @@ type SecurityTask struct {
 	Core int
 }
 
-// Utilization returns C/T for the currently assigned period.
-// It returns +Inf-like large values only if Period is zero; callers
-// should assign periods first.
-func (s SecurityTask) Utilization() float64 {
-	if s.Period == 0 {
-		return 0
-	}
-	return float64(s.WCET) / float64(s.Period)
-}
-
 // MinUtilization returns C/Tmax, the utilisation floor the task is
 // guaranteed to consume when running at its slowest acceptable rate.
 func (s SecurityTask) MinUtilization() float64 {
@@ -134,10 +123,6 @@ type Set struct {
 	// Security holds the security tasks Γ_S.
 	Security []SecurityTask
 }
-
-// ErrEmpty is returned when a set has no cores or no tasks where some
-// are required.
-var ErrEmpty = errors.New("task set is empty")
 
 // Validate checks structural well-formedness: positive core count,
 // valid tasks, distinct security priorities, unique task names, and

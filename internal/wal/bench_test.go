@@ -2,6 +2,7 @@ package wal
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
 )
 
@@ -13,7 +14,7 @@ import (
 func BenchmarkWALAppend(b *testing.B) {
 	for _, size := range []int{128, 1024} {
 		b.Run(fmt.Sprintf("rec%d", size), func(b *testing.B) {
-			l, _, err := Open(b.TempDir(), Options{NoSync: true})
+			l, _, err := Open(filepath.Join(b.TempDir(), "g0-00000001.wal"), Options{NoSync: true})
 			if err != nil {
 				b.Fatal(err)
 			}

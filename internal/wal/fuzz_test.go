@@ -17,11 +17,12 @@ func frame(payload []byte) []byte {
 	return append(b, payload...)
 }
 
-// FuzzWALReplay feeds arbitrary bytes to the segment decoder and the
-// full recovery path: the bytes become the log's final segment, so
-// any tail damage must be repaired, never panicked over, and recovery
-// must be idempotent — reopening a repaired log yields the identical
-// records, and appending after recovery extends them.
+// FuzzWALReplay feeds arbitrary bytes to the decoder and the full
+// recovery path: the bytes become the log file, so any damage must end
+// the log at the last whole record, never be panicked over, and
+// recovery must be idempotent — ReadAll agrees with Open, reopening a
+// repaired log yields the identical records, and appending after
+// recovery extends them.
 func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(frame([]byte("one")))
@@ -42,16 +43,21 @@ func FuzzWALReplay(f *testing.F) {
 		if len(data) > 1<<16 {
 			return // keep filesystem churn bounded
 		}
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, segmentName("", 1)), data, 0o644); err != nil {
+		path := filepath.Join(t.TempDir(), "g0-00000001.wal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, recs, err := Open(dir, Options{})
+		read, err := ReadAll(path, Options{})
 		if err != nil {
-			// Only mid-log corruption may be refused, and a single
-			// segment is always the final segment — every failure here
-			// should have been repaired instead.
-			t.Fatalf("Open refused a final-segment input: %v", err)
+			t.Fatalf("ReadAll: %v", err)
+		}
+		l, recs, err := Open(path, Options{})
+		if err != nil {
+			// A bad frame ends the log; it is repaired, never refused.
+			t.Fatalf("Open refused an input: %v", err)
+		}
+		if len(read) != len(recs) {
+			t.Fatalf("ReadAll returned %d records, Open recovered %d", len(read), len(recs))
 		}
 		for i, r := range recs {
 			if len(r) == 0 {
@@ -70,7 +76,7 @@ func FuzzWALReplay(f *testing.F) {
 
 		// Idempotence: the repaired log replays to the same records
 		// plus the probe, and a third open agrees with the second.
-		l2, recs2, err := Open(dir, Options{})
+		l2, recs2, err := Open(path, Options{})
 		if err != nil {
 			t.Fatalf("reopen after repair: %v", err)
 		}
@@ -79,6 +85,9 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatalf("reopen recovered %d records, want %d", len(recs2), len(recs)+1)
 		}
 		for i := range recs {
+			if !bytes.Equal(read[i], recs[i]) {
+				t.Fatalf("record %d differs between ReadAll and Open: %q != %q", i, read[i], recs[i])
+			}
 			if !bytes.Equal(recs2[i], recs[i]) {
 				t.Fatalf("record %d changed across reopen: %q != %q", i, recs2[i], recs[i])
 			}

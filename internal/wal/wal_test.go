@@ -2,8 +2,6 @@ package wal
 
 import (
 	"bytes"
-	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,11 +9,17 @@ import (
 	"hydrac/internal/faultfs"
 )
 
-// openAppend opens a log in dir with opt, appends every record, and
-// closes it.
-func openAppend(t *testing.T, dir string, opt Options, recs ...[]byte) {
+// logPath names a log file in a fresh directory.
+func logPath(t *testing.T) string {
 	t.Helper()
-	l, _, err := Open(dir, opt)
+	return filepath.Join(t.TempDir(), "g0-00000001.wal")
+}
+
+// openAppend opens the log at path with opt, appends every record, and
+// closes it.
+func openAppend(t *testing.T, path string, opt Options, recs ...[]byte) {
+	t.Helper()
+	l, _, err := Open(path, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,9 +34,9 @@ func openAppend(t *testing.T, dir string, opt Options, recs ...[]byte) {
 }
 
 // recovered opens the log read-write and returns the records.
-func recovered(t *testing.T, dir string, opt Options) [][]byte {
+func recovered(t *testing.T, path string, opt Options) [][]byte {
 	t.Helper()
-	l, recs, err := Open(dir, opt)
+	l, recs, err := Open(path, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,19 +57,19 @@ func wantRecords(t *testing.T, got [][]byte, want ...[]byte) {
 }
 
 func TestAppendReopenRoundTrip(t *testing.T) {
-	dir := t.TempDir()
+	path := logPath(t)
 	recs := [][]byte{[]byte("one"), []byte("two"), bytes.Repeat([]byte{0xAB}, 1000)}
-	openAppend(t, dir, Options{}, recs...)
-	wantRecords(t, recovered(t, dir, Options{}), recs...)
+	openAppend(t, path, Options{}, recs...)
+	wantRecords(t, recovered(t, path, Options{}), recs...)
 
 	// A second append session continues where the first stopped.
-	openAppend(t, dir, Options{}, []byte("four"))
-	wantRecords(t, recovered(t, dir, Options{}), append(recs, []byte("four"))...)
+	openAppend(t, path, Options{}, []byte("four"))
+	wantRecords(t, recovered(t, path, Options{}), append(recs, []byte("four"))...)
 }
 
 func TestEmptyDirStartsFreshLog(t *testing.T) {
-	dir := t.TempDir()
-	l, recs, err := Open(dir, Options{Prefix: "g0-"})
+	path := logPath(t)
+	l, recs, err := Open(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,76 +85,23 @@ func TestEmptyDirStartsFreshLog(t *testing.T) {
 	l.Close()
 }
 
-func TestSegmentRotation(t *testing.T) {
-	dir := t.TempDir()
-	opt := Options{SegmentBytes: 64} // rotate every couple of records
-	var recs [][]byte
-	for i := 0; i < 20; i++ {
-		recs = append(recs, []byte(fmt.Sprintf("record-%02d-padding-padding", i)))
-	}
-	openAppend(t, dir, opt, recs...)
-
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) < 3 {
-		t.Fatalf("expected several segments, got %d files", len(entries))
-	}
-	wantRecords(t, recovered(t, dir, opt), recs...)
-}
-
-func TestPrefixIsolatesGenerations(t *testing.T) {
-	dir := t.TempDir()
-	openAppend(t, dir, Options{Prefix: "g0-"}, []byte("old"))
-	openAppend(t, dir, Options{Prefix: "g1-"}, []byte("new"))
-	wantRecords(t, recovered(t, dir, Options{Prefix: "g0-"}), []byte("old"))
-	wantRecords(t, recovered(t, dir, Options{Prefix: "g1-"}), []byte("new"))
-
-	if err := RemoveGeneration(faultfs.OS{}, dir, "g0-"); err != nil {
-		t.Fatal(err)
-	}
-	wantRecords(t, recovered(t, dir, Options{Prefix: "g0-"}))
-	wantRecords(t, recovered(t, dir, Options{Prefix: "g1-"}), []byte("new"))
-}
-
-// lastSegment returns the path of the highest-numbered segment.
-func lastSegment(t *testing.T, dir string) string {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	last := ""
-	for _, e := range entries {
-		if filepath.Ext(e.Name()) == ".wal" && e.Name() > last {
-			last = e.Name()
-		}
-	}
-	if last == "" {
-		t.Fatal("no segments")
-	}
-	return filepath.Join(dir, last)
-}
-
 func TestTornTailTruncatedMidRecord(t *testing.T) {
-	dir := t.TempDir()
+	path := logPath(t)
 	recs := [][]byte{[]byte("alpha"), []byte("beta"), []byte("gamma")}
-	openAppend(t, dir, Options{}, recs...)
+	openAppend(t, path, Options{}, recs...)
 
 	// Chop bytes off the tail: the torn last record must be dropped
 	// and the file repaired so a re-open sees a clean log.
-	seg := lastSegment(t, dir)
-	data, err := os.ReadFile(seg)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for cut := 1; cut < frameHeaderBytes+len("gamma"); cut++ {
-		if err := os.WriteFile(seg, data[:len(data)-cut], 0o644); err != nil {
+		if err := os.WriteFile(path, data[:len(data)-cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		wantRecords(t, recovered(t, dir, Options{}), recs[0], recs[1])
-		fi, err := os.Stat(seg)
+		wantRecords(t, recovered(t, path, Options{}), recs[0], recs[1])
+		fi, err := os.Stat(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,17 +109,16 @@ func TestTornTailTruncatedMidRecord(t *testing.T) {
 			t.Fatalf("cut %d: repaired size %d, want %d", cut, fi.Size(), want)
 		}
 		// Restore for the next cut width.
-		if err := os.WriteFile(seg, data, 0o644); err != nil {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
 func TestTornTailGarbageAppended(t *testing.T) {
-	dir := t.TempDir()
-	openAppend(t, dir, Options{}, []byte("alpha"))
-	seg := lastSegment(t, dir)
-	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o644)
+	path := logPath(t)
+	openAppend(t, path, Options{}, []byte("alpha"))
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,100 +128,47 @@ func TestTornTailGarbageAppended(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	wantRecords(t, recovered(t, dir, Options{}), []byte("alpha"))
+	wantRecords(t, recovered(t, path, Options{}), []byte("alpha"))
 
 	// Repair must be durable: the garbage is gone from disk.
-	wantRecords(t, recovered(t, dir, Options{}), []byte("alpha"))
+	wantRecords(t, recovered(t, path, Options{}), []byte("alpha"))
 }
 
 func TestTornTailCRCFlip(t *testing.T) {
-	dir := t.TempDir()
+	path := logPath(t)
 	recs := [][]byte{[]byte("alpha"), []byte("beta")}
-	openAppend(t, dir, Options{}, recs...)
-	seg := lastSegment(t, dir)
-	data, err := os.ReadFile(seg)
+	openAppend(t, path, Options{}, recs...)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Flip a bit in the LAST record's payload: CRC catches it and the
 	// record is dropped as a torn tail.
 	data[len(data)-1] ^= 0x01
-	if err := os.WriteFile(seg, data, 0o644); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	wantRecords(t, recovered(t, dir, Options{}), []byte("alpha"))
-}
-
-func TestCorruptionBeforeFinalSegmentIsAnError(t *testing.T) {
-	dir := t.TempDir()
-	opt := Options{SegmentBytes: 32}
-	openAppend(t, dir, opt, []byte("record-one-long-enough"), []byte("record-two-long-enough"), []byte("record-three"))
-
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) < 2 {
-		t.Fatalf("test needs >= 2 segments, got %d", len(entries))
-	}
-	first := filepath.Join(dir, entries[0].Name())
-	data, err := os.ReadFile(first)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-1] ^= 0x01
-	if err := os.WriteFile(first, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Open(dir, opt); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Open over mid-log corruption: err = %v, want ErrCorrupt", err)
-	}
-	if _, err := ReadAll(dir, opt); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("ReadAll over mid-log corruption: err = %v, want ErrCorrupt", err)
-	}
-}
-
-func TestSegmentGapIsAnError(t *testing.T) {
-	dir := t.TempDir()
-	opt := Options{SegmentBytes: 32}
-	long := bytes.Repeat([]byte("x"), 40) // every frame > SegmentBytes: one record per segment
-	openAppend(t, dir, opt, long, long, long)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 3 {
-		t.Fatalf("test needs 3 segments, got %d", len(entries))
-	}
-	if err := os.Remove(filepath.Join(dir, entries[1].Name())); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Open(dir, opt); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Open over a segment gap: err = %v, want ErrCorrupt", err)
-	}
+	wantRecords(t, recovered(t, path, Options{}), []byte("alpha"))
 }
 
 func TestNoSyncFlushesOnClose(t *testing.T) {
-	dir := t.TempDir()
-	l, _, err := Open(dir, Options{NoSync: true})
+	path := logPath(t)
+	l, _, err := Open(path, Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Append([]byte("buffered")); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
-	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	wantRecords(t, recovered(t, dir, Options{}), []byte("buffered"))
+	wantRecords(t, recovered(t, path, Options{}), []byte("buffered"))
 }
 
 func TestAppendRejectsEmptyAndOversized(t *testing.T) {
-	dir := t.TempDir()
-	l, _, err := Open(dir, Options{})
+	path := logPath(t)
+	l, _, err := Open(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,9 +182,9 @@ func TestAppendRejectsEmptyAndOversized(t *testing.T) {
 }
 
 func TestCountSurvivesReopen(t *testing.T) {
-	dir := t.TempDir()
-	openAppend(t, dir, Options{}, []byte("a"), []byte("b"))
-	l, _, err := Open(dir, Options{})
+	path := logPath(t)
+	openAppend(t, path, Options{}, []byte("a"), []byte("b"))
+	l, _, err := Open(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,37 +201,36 @@ func TestCountSurvivesReopen(t *testing.T) {
 }
 
 func TestReadAllLeavesTornTailInPlace(t *testing.T) {
-	dir := t.TempDir()
-	openAppend(t, dir, Options{}, []byte("alpha"), []byte("beta"))
-	seg := lastSegment(t, dir)
-	data, err := os.ReadFile(seg)
+	path := logPath(t)
+	openAppend(t, path, Options{}, []byte("alpha"), []byte("beta"))
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(seg, data[:len(data)-2], 0o644); err != nil {
+	if err := os.WriteFile(path, data[:len(data)-2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadAll(dir, Options{})
+	recs, err := ReadAll(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantRecords(t, recs, []byte("alpha"))
-	fi, err := os.Stat(seg)
+	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fi.Size() != int64(len(data)-2) {
-		t.Fatalf("ReadAll modified the segment: size %d", fi.Size())
+		t.Fatalf("ReadAll modified the log: size %d", fi.Size())
 	}
 }
 
 // A frame whose write landed but whose fsync failed must not resurface
-// at recovery as a phantom commit: the failed append rolls the segment
+// at recovery as a phantom commit: the failed append rolls the log
 // back to the last acknowledged record.
 func TestFailedSyncRollsBackUnacknowledgedFrame(t *testing.T) {
-	dir := t.TempDir()
+	path := logPath(t)
 	in := faultfs.Wrap(nil)
-	l, _, err := Open(dir, Options{Prefix: "g0-", FS: in})
+	l, _, err := Open(path, Options{FS: in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,15 +243,15 @@ func TestFailedSyncRollsBackUnacknowledgedFrame(t *testing.T) {
 	}
 	l.f.Close() // the log is failed; release the handle without syncing
 
-	wantRecords(t, recovered(t, dir, Options{Prefix: "g0-"}), []byte("acked"))
+	wantRecords(t, recovered(t, path, Options{}), []byte("acked"))
 }
 
 // Same discipline for a torn write: the half-landed frame is cut away
 // immediately, not left for recovery to repair.
 func TestTornWriteRollsBack(t *testing.T) {
-	dir := t.TempDir()
+	path := logPath(t)
 	in := faultfs.Wrap(nil)
-	l, _, err := Open(dir, Options{Prefix: "g0-", FS: in})
+	l, _, err := Open(path, Options{FS: in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,14 +264,15 @@ func TestTornWriteRollsBack(t *testing.T) {
 	}
 	l.f.Close()
 
-	// The segment holds exactly the acknowledged record — byte-clean,
-	// no torn tail for Open to repair.
-	recs, validLen, err := readSegment(faultfs.OS{}, filepath.Join(dir, segmentName("g0-", 1)))
+	// The file holds exactly the acknowledged record — byte-clean, no
+	// torn tail for Open to repair.
+	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("segment not byte-clean after rollback: %v", err)
+		t.Fatal(err)
 	}
+	recs, validLen := decode(data)
 	wantRecords(t, recs, []byte("acked"))
-	if fi, _ := os.Stat(filepath.Join(dir, segmentName("g0-", 1))); fi.Size() != validLen {
-		t.Fatalf("segment size %d != valid length %d", fi.Size(), validLen)
+	if int64(len(data)) != validLen {
+		t.Fatalf("log size %d != valid length %d after rollback", len(data), validLen)
 	}
 }
