@@ -67,11 +67,9 @@ func ParseHeuristic(s string) (PartitionHeuristic, error) {
 // cache across repeated admission traffic.
 type Analyzer struct {
 	heuristic PartitionHeuristic
-	opts      Options
 	baselines []Scheme
 	simulate  bool
 	simCfg    SimConfig
-	workers   int
 	cache     *lru.Cache[string, *cacheEntry]
 	// pool recycles kernel workspaces across analyses: Analyze borrows
 	// one per call, AnalyzeBatch pins one per sweep chunk, and the
@@ -110,15 +108,6 @@ func WithHeuristic(h PartitionHeuristic) AnalyzerOption {
 	}
 }
 
-// WithOptions tunes Algorithm 1 (carry-in mode, search strategy); the
-// zero value is the paper's configuration.
-func WithOptions(opt Options) AnalyzerOption {
-	return func(a *Analyzer) error {
-		a.opts = opt
-		return nil
-	}
-}
-
 // WithBaselines adds comparison schemes to every report, in the given
 // order.
 func WithBaselines(schemes ...Scheme) AnalyzerOption {
@@ -153,15 +142,6 @@ func WithSimulation(cfg SimConfig) AnalyzerOption {
 func WithCache(n int) AnalyzerOption {
 	return func(a *Analyzer) error {
 		a.cache = lru.New[string, *cacheEntry](n)
-		return nil
-	}
-}
-
-// WithBatchWorkers fixes the AnalyzeBatch worker-pool size; 0 (the
-// default) uses GOMAXPROCS. Results are identical at any value.
-func WithBatchWorkers(n int) AnalyzerOption {
-	return func(a *Analyzer) error {
-		a.workers = n
 		return nil
 	}
 }
@@ -259,8 +239,9 @@ func (e *cacheEntry) hitEnvelope() ([]byte, error) {
 }
 
 // AnalyzeBatch analyses many sets in parallel over the deterministic
-// sweep engine: reports arrive in input order and are bit-identical
-// at any worker count (they carry no Timing and never set FromCache).
+// sweep engine, one worker per GOMAXPROCS: reports arrive in input
+// order and are bit-identical at any worker count (they carry no
+// Timing and never set FromCache).
 // Any per-set error aborts the batch; an unschedulable set is not an
 // error — its report says so.
 func (a *Analyzer) AnalyzeBatch(ctx context.Context, sets []*TaskSet) ([]*Report, error) {
@@ -282,7 +263,7 @@ func (a *Analyzer) AnalyzeBatch(ctx context.Context, sets []*TaskSet) ([]*Report
 		sc    *core.Scratch
 	}
 	merged, err := sweep.Run(
-		sweep.Config{Groups: len(sets), PerGroup: 1, Workers: a.workers, Context: ctx},
+		sweep.Config{Groups: len(sets), PerGroup: 1, Context: ctx},
 		func() *partial { return &partial{} },
 		func(p *partial, it sweep.Item) error {
 			if p.sc == nil {
@@ -413,7 +394,7 @@ func (a *Analyzer) analyzeCanonical(ctx context.Context, ts *TaskSet, key string
 	}
 
 	t0 = time.Now()
-	res, err := core.SelectPeriodsCtxWith(ctx, cp, a.opts, sc)
+	res, err := core.SelectPeriodsCtxWith(ctx, cp, sc)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -243,10 +244,12 @@ func TestAnalyzeBatchDeterministicAcrossWorkers(t *testing.T) {
 	// Duplicate entries so cache hits and repeated work are exercised.
 	sets = append(sets, sets[0], sets[3])
 
+	// AnalyzeBatch runs one worker per GOMAXPROCS.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var want []byte
 	for _, workers := range []int{1, 3, 8} {
+		runtime.GOMAXPROCS(workers)
 		a, err := hydrac.New(
-			hydrac.WithBatchWorkers(workers),
 			hydrac.WithCache(8),
 			hydrac.WithBaselines(hydrac.SchemeHydraTMax),
 			hydrac.WithSimulation(hydrac.SimConfig{Horizon: 2000, Seed: 7}),

@@ -192,32 +192,6 @@ func BenchmarkTable2RoverAnalysis(b *testing.B) {
 
 // --------------------------------------------------------- ablations
 
-// BenchmarkAblationCarryInDominance vs ...Exhaustive quantify the cost
-// of the literal Eq. 8 enumeration against the dominance selection.
-func BenchmarkAblationCarryInDominance(b *testing.B) {
-	benchCarryIn(b, core.Dominance)
-}
-
-// BenchmarkAblationCarryInExhaustive is the exponential counterpart.
-func BenchmarkAblationCarryInExhaustive(b *testing.B) {
-	benchCarryIn(b, core.Exhaustive)
-}
-
-func benchCarryIn(b *testing.B, mode core.CarryInMode) {
-	rng := rand.New(rand.NewSource(3))
-	cfg := gen.TableThree(2)
-	ts, err := cfg.Generate(rng, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.SelectPeriods(ts, core.Options{CarryIn: mode}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAblationPartitionHeuristics compares the RT bin-packing
 // heuristics' cost on Table-3 workloads.
 func BenchmarkAblationPartitionHeuristics(b *testing.B) {

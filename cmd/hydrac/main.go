@@ -7,10 +7,11 @@
 //
 // Usage:
 //
-//	hydrac analyze  -in taskset.json [-scheme hydra-c|hydra|hydra-tmax|global-tmax] [-exhaustive] [-json]
+//	hydrac analyze  -in taskset.json [-scheme hydra-c|hydra|hydra-aggressive|hydra-tmax|global-tmax] [-explain] [-json]
 //	hydrac admit    -in base.json -deltas deltas.json [-json]   (replay a delta log incrementally)
 //	hydrac simulate -in taskset.json [-horizon N] [-policy semi|partitioned|global]
 //	hydrac gantt    -in taskset.json [-to N] [-step N]
+//	hydrac sensitivity -in taskset.json                      (how far each monitor's WCET can grow)
 //	hydrac generate [-cores M] [-group G] [-seed S]        (emit a random Table-3 task set)
 //	hydrac example                                          (emit the paper's rover task set)
 //
@@ -141,7 +142,6 @@ func analyze(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs := newFlagSet("analyze", stderr)
 	in := fs.String("in", "", "task set JSON file (required; - for stdin)")
 	scheme := fs.String("scheme", "hydra-c", "hydra-c | hydra | hydra-aggressive | hydra-tmax | global-tmax")
-	exhaustive := fs.Bool("exhaustive", false, "use the literal Eq. 8 carry-in enumeration")
 	explain := fs.Bool("explain", false, "print the per-task interference breakdown (hydra-c only)")
 	jsonOut := fs.Bool("json", false, "emit the versioned report envelope instead of tables")
 	if err := parseFlags(fs, args); err != nil {
@@ -154,13 +154,8 @@ func analyze(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	opt := core.Options{}
-	if *exhaustive {
-		opt.CarryIn = core.Exhaustive
-	}
-
 	ctx := context.Background()
-	a, err := hydrac.New(hydrac.WithOptions(opt))
+	a, err := hydrac.New()
 	if err != nil {
 		return err
 	}
@@ -192,7 +187,7 @@ func analyze(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 			if err != nil {
 				return err
 			}
-			diags, err := core.Diagnose(analysed, periods, opt.CarryIn)
+			diags, err := core.Diagnose(analysed, periods)
 			if err != nil {
 				return err
 			}
@@ -470,11 +465,11 @@ func sensitivity(args []string, stdin io.Reader, stdout, stderr io.Writer) error
 	if err != nil {
 		return err
 	}
-	perTask, err := core.WCETSensitivity(ts, core.Options{})
+	perTask, err := core.WCETSensitivity(ts)
 	if err != nil {
 		return err
 	}
-	scale, err := core.ScaleSensitivity(ts, core.Options{})
+	scale, err := core.ScaleSensitivity(ts)
 	if err != nil {
 		return err
 	}

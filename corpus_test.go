@@ -108,7 +108,7 @@ func TestCorpusGoldenBatch(t *testing.T) {
 	if *updateGolden {
 		t.Skip("goldens are written by TestCorpusGoldenLibrary")
 	}
-	a, err := hydrac.New(hydrac.WithBatchWorkers(3))
+	a, err := hydrac.New()
 	if err != nil {
 		t.Fatal(err)
 	}

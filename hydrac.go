@@ -26,11 +26,16 @@
 //		fmt.Println(v.Name, v.Period, v.WCRT)
 //	}
 //
-// AnalyzeBatch fans a bulk admission check out over all cores with
-// deterministic results; cmd/hydrad serves the same pipeline over
-// HTTP (POST /v1/analyze). Analyzer.Baseline runs one comparison
-// scheme alone; Report.ApplyTo and BaselineVerdict.ApplyTo write a
-// verdict's periods into a set for Simulate, the door to full traces.
+// Period selection has one configuration, the paper's, with Eq. 8's
+// carry-in maximum bounded by dominance; the options choose the
+// partitioning heuristic, baselines, simulation and caching.
+//
+// AnalyzeBatch fans a bulk admission check out over all cores (one
+// worker per GOMAXPROCS) with deterministic results; cmd/hydrad serves
+// the same pipeline over HTTP (POST /v1/analyze). Analyzer.Baseline
+// runs one comparison scheme alone; Report.ApplyTo and
+// BaselineVerdict.ApplyTo write a verdict's periods into a set for
+// Simulate, the door to full traces.
 //
 // See examples/ for runnable scenarios and the package table in
 // DESIGN.md for the implementation packages.
@@ -39,7 +44,6 @@ package hydrac
 import (
 	"io"
 
-	"hydrac/internal/core"
 	"hydrac/internal/partition"
 	"hydrac/internal/sim"
 	"hydrac/internal/task"
@@ -68,10 +72,6 @@ func DecodeTaskSet(r io.Reader) (*TaskSet, error) { return task.Decode(r) }
 // EncodeTaskSet writes a task set as indented JSON in the file format
 // DecodeTaskSet reads.
 func EncodeTaskSet(w io.Writer, ts *TaskSet) error { return task.Encode(w, ts) }
-
-// Options tunes Algorithm 1; the zero value is the paper's
-// configuration.
-type Options = core.Options
 
 // RT task partitioning.
 type PartitionHeuristic = partition.Heuristic

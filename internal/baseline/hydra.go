@@ -330,7 +330,7 @@ func GlobalTMaxWith(ts *task.Set, sc *core.Scratch) (*GlobalResult, error) {
 	sc.Reset(sys)
 	hp := make([]core.Interferer, 0, len(order))
 	for _, e := range order {
-		r, ok := sc.MigratingWCRT(e.wcet, hp, e.limit, core.Dominance)
+		r, ok := sc.MigratingWCRT(e.wcet, hp, e.limit)
 		if !ok {
 			r = task.Infinity
 			res.Schedulable = false

@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hydrac/internal/gen"
@@ -138,4 +139,46 @@ func TestLookaheadDominatesAggressiveAcceptance(t *testing.T) {
 	if look == agg {
 		t.Log("warning: no separation observed on this seed")
 	}
+}
+
+// HYDRA (lookahead) and HYDRA-TMax accept exactly the same sets, with
+// the same placement. Phase 1 is shared, and phase 2 only lowers a
+// period while every lower task on its core stays within its Tmax, so
+// period minimisation can change periods but never the verdict.
+func TestLookaheadAcceptanceEqualsHydraTMax(t *testing.T) {
+	drawn, accepted := 0, 0
+	for _, m := range []int{2, 4} {
+		cfg := gen.TableThree(m)
+		for g := 0; g < cfg.Groups; g++ {
+			for i := 0; i < 40; i++ {
+				ts, err := cfg.GenerateAt(2020, g, i)
+				if err != nil {
+					continue // no partitionable draw
+				}
+				drawn++
+				lres, err := Hydra(ts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tres, err := HydraTMax(ts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if lres.Schedulable != tres.Schedulable {
+					t.Fatalf("M=%d g=%d i=%d: HYDRA schedulable=%v, HYDRA-TMax %v", m, g, i, lres.Schedulable, tres.Schedulable)
+				}
+				if !lres.Schedulable {
+					continue
+				}
+				accepted++
+				if !slices.Equal(lres.Cores, tres.Cores) {
+					t.Fatalf("M=%d g=%d i=%d: HYDRA cores %v, HYDRA-TMax %v", m, g, i, lres.Cores, tres.Cores)
+				}
+			}
+		}
+	}
+	if accepted == 0 {
+		t.Fatal("no schedulable set exercised")
+	}
+	t.Logf("%d sets drawn, %d schedulable", drawn, accepted)
 }

@@ -45,7 +45,7 @@ type Diagnosis struct {
 // periods (ts.Security order; pass the periods from SelectPeriods, or
 // Tmax values) and returns the interference breakdown at each task's
 // fixed point.
-func Diagnose(ts *task.Set, periods []task.Time, mode CarryInMode) ([]Diagnosis, error) {
+func Diagnose(ts *task.Set, periods []task.Time) ([]Diagnosis, error) {
 	if err := ts.Validate(); err != nil {
 		return nil, err
 	}
@@ -58,7 +58,7 @@ func Diagnose(ts *task.Set, periods []task.Time, mode CarryInMode) ([]Diagnosis,
 	for i, s := range sec {
 		ordered[i] = periods[indexByName(ts.Security, s.Name)]
 	}
-	resp := sys.ResponseTimes(sec, ordered, mode)
+	resp := sys.ResponseTimes(sec, ordered)
 
 	out := make([]Diagnosis, len(ts.Security))
 	hp := make([]Interferer, 0, len(sec))

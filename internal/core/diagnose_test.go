@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"hydrac/internal/gen"
 	"hydrac/internal/task"
 )
 
@@ -13,7 +14,7 @@ func TestDiagnoseRover(t *testing.T) {
 	if err != nil || !res.Schedulable {
 		t.Fatal(err)
 	}
-	diags, err := Diagnose(ts, res.Periods, Dominance)
+	diags, err := Diagnose(ts, res.Periods)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,13 +62,61 @@ func TestDiagnoseRover(t *testing.T) {
 	}
 }
 
+// Diagnose's breakdown is a third evaluation of Eq. 6, after the
+// kernel and omegaDominance. Over Table-3 sets it must give the
+// reference Ω at every selected response time, walking each
+// schedulable set's chain in priority order.
+func TestDiagnoseOmegaMatchesReference(t *testing.T) {
+	checked := 0
+	for _, m := range []int{2, 4, 8} {
+		cfg := gen.TableThree(m)
+		for g := 0; g < 8; g++ {
+			for i := 0; i < 10; i++ {
+				ts, err := cfg.GenerateAt(11, g, i)
+				if err != nil {
+					continue // no partitionable draw
+				}
+				res, err := SelectPeriods(ts, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Schedulable {
+					continue
+				}
+				diags, err := Diagnose(ts, res.Periods)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sys := NewSystem(ts)
+				var hp []Interferer
+				for _, s := range ts.SecurityByPriority() {
+					k := indexByName(ts.Security, s.Name)
+					d := diags[k]
+					if d.Resp != res.Resp[k] {
+						t.Fatalf("M=%d g=%d i=%d %s: diagnosed R=%d, selected R=%d", m, g, i, s.Name, d.Resp, res.Resp[k])
+					}
+					if want := sys.omegaDominance(d.Resp, s.WCET, hp); d.Omega != want {
+						t.Fatalf("M=%d g=%d i=%d %s: diagnosed Ω=%d, omegaDominance=%d", m, g, i, s.Name, d.Omega, want)
+					}
+					hp = append(hp, Interferer{WCET: s.WCET, Period: res.Periods[k], Resp: res.Resp[k]})
+					checked++
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no schedulable set exercised")
+	}
+	t.Logf("%d tasks checked", checked)
+}
+
 func TestDiagnoseUnschedulable(t *testing.T) {
 	ts := roverLikeSet()
 	for i := range ts.Security {
 		ts.Security[i].MaxPeriod = 5400
 	}
 	periods := []task.Time{5400, 5400}
-	diags, err := Diagnose(ts, periods, Dominance)
+	diags, err := Diagnose(ts, periods)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +134,7 @@ func TestDiagnoseUnschedulable(t *testing.T) {
 
 func TestDiagnoseValidation(t *testing.T) {
 	ts := roverLikeSet()
-	if _, err := Diagnose(ts, []task.Time{1}, Dominance); err == nil {
+	if _, err := Diagnose(ts, []task.Time{1}); err == nil {
 		t.Error("period-count mismatch accepted")
 	}
 }

@@ -20,12 +20,12 @@ type Result struct {
 	Resp []task.Time
 }
 
-// Options tunes SelectPeriods. The zero value is the paper's
-// configuration.
-type Options struct {
-	// CarryIn selects the Eq. 8 maximisation strategy.
-	CarryIn CarryInMode
-}
+// Options is the last parameter of SelectPeriods and SelectPeriodsCtx.
+// It has no field, because the analysis has one configuration: the
+// paper's, with the dominance carry-in bound. It stays because the
+// perfbench module, which builds against this package from its own
+// go.mod, calls SelectPeriodsCtx(ctx, ts, Options{}).
+type Options struct{}
 
 // SelectPeriods is Algorithm 1: given a task set whose RT tasks are
 // already partitioned and schedulable, it chooses the minimum feasible
@@ -47,10 +47,10 @@ func SelectPeriods(ts *task.Set, opt Options) (*Result, error) {
 // The kernel workspace is borrowed from DefaultScratchPool for the
 // duration of the call; services that thread their own scratch use
 // SelectPeriodsCtxWith.
-func SelectPeriodsCtx(ctx context.Context, ts *task.Set, opt Options) (*Result, error) {
+func SelectPeriodsCtx(ctx context.Context, ts *task.Set, _ Options) (*Result, error) {
 	sc := DefaultScratchPool.Get(nil)
 	defer DefaultScratchPool.Put(sc)
-	return SelectPeriodsCtxWith(ctx, ts, opt, sc)
+	return SelectPeriodsCtxWith(ctx, ts, sc)
 }
 
 // SelectPeriodsCtxWith is SelectPeriodsCtx on a caller-owned Scratch:
@@ -60,8 +60,8 @@ func SelectPeriodsCtx(ctx context.Context, ts *task.Set, opt Options) (*Result, 
 // must not be shared across goroutines while the call runs, and the
 // returned Result never aliases its buffers. It is the hint-free run
 // of the one Algorithm 1 loop, SelectPeriodsResumableWith.
-func SelectPeriodsCtxWith(ctx context.Context, ts *task.Set, opt Options, sc *Scratch) (*Result, error) {
-	res, _, err := SelectPeriodsResumableWith(ctx, ts, opt, nil, sc)
+func SelectPeriodsCtxWith(ctx context.Context, ts *task.Set, sc *Scratch) (*Result, error) {
+	res, _, err := SelectPeriodsResumableWith(ctx, ts, nil, sc)
 	return res, err
 }
 
@@ -79,11 +79,11 @@ func SelectPeriodsCtxWith(ctx context.Context, ts *task.Set, opt Options, sc *Sc
 // feasibility assumption Algorithm 2 itself rests on (the same
 // argument as the two-probe hint verification, pinned by
 // the differential oracle corpus).
-func logMinPeriod(ctx context.Context, sc *Scratch, sec []task.SecurityTask, periods, resp []task.Time, i int, lo, hi task.Time, mode CarryInMode) task.Time {
+func logMinPeriod(ctx context.Context, sc *Scratch, sec []task.SecurityTask, periods, resp []task.Time, i int, lo, hi task.Time) task.Time {
 	if ctx.Err() != nil {
 		return hi // the caller surfaces ctx.Err()
 	}
-	if lowerPrioritySchedulable(sc, sec, periods, resp, i, lo, mode) {
+	if lowerPrioritySchedulable(sc, sec, periods, resp, i, lo) {
 		return lo
 	}
 	lo++
@@ -93,7 +93,7 @@ func logMinPeriod(ctx context.Context, sc *Scratch, sec []task.SecurityTask, per
 			return star // the caller surfaces ctx.Err()
 		}
 		mid := (lo + hi) / 2
-		if lowerPrioritySchedulable(sc, sec, periods, resp, i, mid, mode) {
+		if lowerPrioritySchedulable(sc, sec, periods, resp, i, mid) {
 			if mid < star {
 				star = mid
 			}
@@ -134,7 +134,7 @@ func logMinPeriod(ctx context.Context, sc *Scratch, sec []task.SecurityTask, per
 // allocation-free on the scratch and restores periods[i] directly on
 // every exit path (a deferred restore would cost a closure per probe
 // of the binary search).
-func lowerPrioritySchedulable(sc *Scratch, sec []task.SecurityTask, periods, resp []task.Time, i int, cand task.Time, mode CarryInMode) bool {
+func lowerPrioritySchedulable(sc *Scratch, sec []task.SecurityTask, periods, resp []task.Time, i int, cand task.Time) bool {
 	saved := periods[i]
 	periods[i] = cand
 	hp := sc.hp[:0]
@@ -156,17 +156,17 @@ func lowerPrioritySchedulable(sc *Scratch, sec []task.SecurityTask, periods, res
 	// Ω-monotonicity, so a limit overrun here is a sound verdict without
 	// touching the tasks in between. A pass proves nothing and falls
 	// through to the full scan.
-	if v := sc.lastViol; mode == Dominance && v > i && v < len(sec) && warmable(sec[v]) {
+	if v := sc.lastViol; v > i && v < len(sec) && warmable(sec[v]) {
 		hpv := hp
 		for j := i + 1; j < v; j++ {
 			hpv = append(hpv, Interferer{WCET: sec[j].WCET, Period: periods[j], Resp: resp[j]})
 		}
-		r, _, _, _, fine := warmResp(sc, v, sec[v], resp[v], hpv, mode)
+		r, _, _, _, fine := warmResp(sc, v, sec[v], resp[v], hpv)
 		ok = fine && r <= sec[v].MaxPeriod
 	}
 	for j := i + 1; ok && j < len(sec); j++ {
 		s := sec[j]
-		r, rt, nc, ck, fine := warmResp(sc, j, s, resp[j], hp, mode)
+		r, rt, nc, ck, fine := warmResp(sc, j, s, resp[j], hp)
 		if !fine || r > s.MaxPeriod {
 			ok = false
 			sc.lastViol = j
@@ -203,10 +203,10 @@ func warmable(s task.SecurityTask) bool {
 }
 
 // warmResp resolves sec[j]'s response time against the (possibly
-// perturbed) chain hp. In Exhaustive mode, or for a task that fails
-// the warmable gate, it is the cold MigratingWCRT from Cs. Otherwise
-// it layers three checks, cheapest first, around the cached component
-// split Ω_j(rj) = RT + ΣNC + top-k:
+// perturbed) chain hp. For a task that fails the warmable gate it is
+// the cold MigratingWCRT from Cs. Otherwise it layers three checks,
+// cheapest first, around the cached component split
+// Ω_j(rj) = RT + ΣNC + top-k:
 //
 //  1. Bound layer, O(|chg|) arithmetic, no chain scan: the cached RT
 //     part is chain-independent, the cached ΣNC part is corrected
@@ -222,10 +222,10 @@ func warmable(s task.SecurityTask) bool {
 // Returned rt/nc/ck are the components at r for re-caching (nc and rt
 // exact, ck an upper bound after a layer-1 accept); rt = −1 when
 // unavailable (cold runs and line-mode convergences).
-func warmResp(sc *Scratch, j int, s task.SecurityTask, rj task.Time, hp []Interferer, mode CarryInMode) (r, rt, nc, ck task.Time, fine bool) {
+func warmResp(sc *Scratch, j int, s task.SecurityTask, rj task.Time, hp []Interferer) (r, rt, nc, ck task.Time, fine bool) {
 	cs, limit := s.WCET, s.MaxPeriod
-	if mode == Exhaustive || !warmable(s) {
-		r, fine = sc.MigratingWCRT(cs, hp, limit, mode)
+	if !warmable(s) {
+		r, fine = sc.MigratingWCRT(cs, hp, limit)
 		return r, -1, 0, 0, fine
 	}
 	primed := false

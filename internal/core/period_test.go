@@ -62,7 +62,7 @@ func TestSelectPeriodsFinalStateConsistent(t *testing.T) {
 	for i, s := range sec {
 		periods[i] = s.Period
 	}
-	resp := sys.ResponseTimes(sec, periods, Dominance)
+	resp := sys.ResponseTimes(sec, periods)
 	for i, s := range sec {
 		if resp[i] > periods[i] {
 			t.Errorf("%s: final R %d exceeds selected period %d", s.Name, resp[i], periods[i])
@@ -218,32 +218,6 @@ func TestSelectPeriodsRandomizedInvariants(t *testing.T) {
 	}
 	if count == 0 {
 		t.Fatal("no schedulable sets exercised")
-	}
-}
-
-// Carry-in mode must not change schedulability decisions drastically:
-// exhaustive accepts whenever dominance accepts (dominance is the
-// pessimistic one).
-func TestSelectPeriodsCarryInModes(t *testing.T) {
-	ts := roverLikeSet()
-	dom, err := SelectPeriods(ts, Options{CarryIn: Dominance})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exh, err := SelectPeriods(ts, Options{CarryIn: Exhaustive})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dom.Schedulable && !exh.Schedulable {
-		t.Fatal("exhaustive rejected a dominance-accepted set")
-	}
-	if dom.Schedulable && exh.Schedulable {
-		for i := range dom.Periods {
-			if exh.Periods[i] > dom.Periods[i] {
-				t.Errorf("task %d: exhaustive period %d worse than dominance %d",
-					i, exh.Periods[i], dom.Periods[i])
-			}
-		}
 	}
 }
 

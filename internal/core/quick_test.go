@@ -69,7 +69,7 @@ func TestQuickWCRTFixedPoint(t *testing.T) {
 		sys := &System{M: s.M, RTCores: s.RTCores}
 		hp := s.interferers(3)
 		limit := task.Time(1 << 22)
-		r, ok := NewScratch(sys).MigratingWCRT(s.Cs, hp, limit, Dominance)
+		r, ok := NewScratch(sys).MigratingWCRT(s.Cs, hp, limit)
 		if !ok {
 			return true
 		}
@@ -93,8 +93,8 @@ func TestQuickWCRTMonotoneInInterference(t *testing.T) {
 		sys := &System{M: s.M, RTCores: s.RTCores}
 		hp := s.interferers(3)
 		limit := task.Time(1 << 22)
-		rSmall, okSmall := NewScratch(sys).MigratingWCRT(s.Cs, hp[:len(hp)-1], limit, Dominance)
-		rBig, okBig := NewScratch(sys).MigratingWCRT(s.Cs, hp, limit, Dominance)
+		rSmall, okSmall := NewScratch(sys).MigratingWCRT(s.Cs, hp[:len(hp)-1], limit)
+		rBig, okBig := NewScratch(sys).MigratingWCRT(s.Cs, hp, limit)
 		if !okSmall {
 			return true
 		}
@@ -117,8 +117,8 @@ func TestQuickWCRTMonotoneInCores(t *testing.T) {
 		sysM1 := &System{M: s.M + 1, RTCores: grown}
 		hp := s.interferers(3)
 		limit := task.Time(1 << 22)
-		rM, okM := NewScratch(sysM).MigratingWCRT(s.Cs, hp, limit, Dominance)
-		rM1, okM1 := NewScratch(sysM1).MigratingWCRT(s.Cs, hp, limit, Dominance)
+		rM, okM := NewScratch(sysM).MigratingWCRT(s.Cs, hp, limit)
+		rM1, okM1 := NewScratch(sysM1).MigratingWCRT(s.Cs, hp, limit)
 		if !okM {
 			return true
 		}

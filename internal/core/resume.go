@@ -50,8 +50,7 @@ type Hints struct {
 //     SecurityByPriority order of that run's set and Periods/Resp
 //     aligned to it;
 //   - that run analysed a set whose RT band — members, parameters and
-//     core placement — is identical to the current set's;
-//   - that run used the same Options (CarryIn mode in particular).
+//     core placement — is identical to the current set's.
 //
 // Under that contract the adopted result is bit-identical to a cold
 // run; see adoptablePrefix for the argument. The admission engine is
@@ -86,7 +85,7 @@ type ResumeStats struct {
 //
 // This is the one Algorithm 1 loop: SelectPeriods, SelectPeriodsCtx
 // and SelectPeriodsCtxWith run it with nil hints.
-func SelectPeriodsResumableWith(ctx context.Context, ts *task.Set, opt Options, hints *Hints, sc *Scratch) (*Result, ResumeStats, error) {
+func SelectPeriodsResumableWith(ctx context.Context, ts *task.Set, hints *Hints, sc *Scratch) (*Result, ResumeStats, error) {
 	var stats ResumeStats
 	if err := ctx.Err(); err != nil {
 		return nil, stats, err
@@ -133,7 +132,7 @@ func SelectPeriodsResumableWith(ctx context.Context, ts *task.Set, opt Options, 
 	// changed level. This is what makes a tail-local delta on a
 	// thousand-task band cost o(n) instead of O(n²) probe work.
 	adopt := 0
-	if pr := h.Prior; pr != nil && opt.CarryIn == Dominance {
+	if pr := h.Prior; pr != nil {
 		adopt = adoptablePrefix(sc, sec, pr)
 	}
 	stats.Adopted = adopt
@@ -155,7 +154,7 @@ func SelectPeriodsResumableWith(ctx context.Context, ts *task.Set, opt Options, 
 		copy(periods, h.Prior.Periods[:adopt])
 		copy(resp, h.Prior.Resp[:adopt])
 	}
-	sc.responseTimes(sec, periods, opt.CarryIn, resp, adopt)
+	sc.responseTimes(sec, periods, resp, adopt)
 	for i := adopt; i < n; i++ {
 		if resp[i] > sec[i].MaxPeriod {
 			return &Result{Schedulable: false}, stats, nil
@@ -176,14 +175,14 @@ func SelectPeriodsResumableWith(ctx context.Context, ts *task.Set, opt Options, 
 		// (or cand is the lower bound). Probing cand−1 first makes a
 		// verified hint's last probe its star.
 		if cand, ok := h.Periods[sec[i].Name]; ok && cand >= lo && cand <= hi {
-			if (cand == lo || !lowerPrioritySchedulable(sc, sec, periods, resp, i, cand-1, opt.CarryIn)) &&
-				lowerPrioritySchedulable(sc, sec, periods, resp, i, cand, opt.CarryIn) {
+			if (cand == lo || !lowerPrioritySchedulable(sc, sec, periods, resp, i, cand-1)) &&
+				lowerPrioritySchedulable(sc, sec, periods, resp, i, cand) {
 				star = cand
 				stats.Verified++
 			}
 		}
 		if star < 0 {
-			star = logMinPeriod(ctx, sc, sec, periods, resp, i, lo, hi, opt.CarryIn)
+			star = logMinPeriod(ctx, sc, sec, periods, resp, i, lo, hi)
 			stats.Searched++
 		}
 		if err := ctx.Err(); err != nil {
@@ -202,7 +201,7 @@ func SelectPeriodsResumableWith(ctx context.Context, ts *task.Set, opt Options, 
 		// A search change that can return any other unprobed candidate
 		// must check this probe.
 		if sc.probeFrom != i || sc.probeCand != star {
-			lowerPrioritySchedulable(sc, sec, periods, resp, i, star, opt.CarryIn)
+			lowerPrioritySchedulable(sc, sec, periods, resp, i, star)
 		}
 		periods[i] = star
 		copy(resp[i+1:], sc.probeResp[i+1:n])

@@ -53,7 +53,7 @@ func TestSelectPeriodsResumableMatchesCold(t *testing.T) {
 			continue
 		}
 		want, oerr := oracle.SelectPeriods(ts)
-		cold, stats, err := SelectPeriodsResumableWith(ctx, ts, Options{}, nil, NewScratch(nil))
+		cold, stats, err := SelectPeriodsResumableWith(ctx, ts, nil, NewScratch(nil))
 		if (err != nil) != (oerr != nil) {
 			t.Fatalf("trial %d: selector error %v, oracle error %v", trial, err, oerr)
 		}
@@ -74,7 +74,7 @@ func TestSelectPeriodsResumableMatchesCold(t *testing.T) {
 		for i, s := range ts.Security {
 			hints.Periods[s.Name] = cold.Periods[i]
 		}
-		again, stats2, err := SelectPeriodsResumableWith(ctx, ts, Options{}, hints, NewScratch(nil))
+		again, stats2, err := SelectPeriodsResumableWith(ctx, ts, hints, NewScratch(nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestSelectPeriodsResumableMatchesCold(t *testing.T) {
 		for i, s := range ts.Security {
 			bad.Periods[s.Name] = cold.Periods[i] + 1 + task.Time(rng.Intn(5))
 		}
-		fixed, _, err := SelectPeriodsResumableWith(ctx, ts, Options{}, bad, NewScratch(nil))
+		fixed, _, err := SelectPeriodsResumableWith(ctx, ts, bad, NewScratch(nil))
 		if err != nil {
 			t.Fatal(err)
 		}

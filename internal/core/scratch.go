@@ -5,9 +5,9 @@ import "hydrac/internal/task"
 // This file is the hot Eq. 5–8 kernel: an allocation-free,
 // staircase-accelerated evaluation of the interference function Ω and
 // its Eq. 7 fixed point. The naive forms in wcrt.go (omegaDominance,
-// fixedPoint) remain the readable reference — the Exhaustive mode and
-// the equivalence property tests still run them — but every production
-// path goes through a Scratch.
+// fixedPoint) remain the readable reference — the equivalence property
+// tests and the literal Eq. 8 enumeration still run them — but every
+// production path goes through a Scratch.
 //
 // Three observations drive the design:
 //
@@ -405,18 +405,21 @@ const creepStride task.Time = 64
 //
 // starts at x = Cs and stops at the least fixed point, or reports
 // failure once x exceeds limit (the task is then unschedulable within
-// its period bound, §4.4). It runs the refinement sequence of the
-// reference creep (fixedPoint over omegaDominance), with clamp-bound
-// creep resolved through the piecewise-linear form of Ω instead of one
-// full evaluation per tick, and makes no steady-state allocations. The
-// Exhaustive mode delegates to the literal Eq. 8 enumeration (a test
-// oracle; it allocates freely).
-func (sc *Scratch) MigratingWCRT(cs task.Time, hp []Interferer, limit task.Time, mode CarryInMode) (task.Time, bool) {
+// its period bound, §4.4). Ω takes Eq. 8's maximum over carry-in sets
+// by dominance: at every window length x, the at-most-(M−1)
+// higher-priority tasks with the largest carry-in/non-carry-in
+// interference difference carry in. That upper-bounds every explicit
+// partition in Z(τs) (Guan et al., "New Response Time Bounds for Fixed
+// Priority Multiprocessor Scheduling", RTSS 2009), where the literal
+// enumeration, migratingWCRTExhaustive, is exponential.
+//
+// It runs the refinement sequence of the reference creep (fixedPoint
+// over omegaDominance), with clamp-bound creep resolved through the
+// piecewise-linear form of Ω instead of one full evaluation per tick,
+// and makes no steady-state allocations.
+func (sc *Scratch) MigratingWCRT(cs task.Time, hp []Interferer, limit task.Time) (task.Time, bool) {
 	if cs > limit {
 		return task.Infinity, false
-	}
-	if mode == Exhaustive {
-		return sc.sys.migratingWCRTExhaustive(cs, hp, limit)
 	}
 	sc.primeHP(hp)
 	return sc.fixpointPrimed(cs, cs, limit)
@@ -970,16 +973,16 @@ func clampLine(y, cs, wv, ws, wb, capv task.Time) (task.Time, task.Time, task.Ti
 // buffer. Each converged value's Ω component split is cached for
 // warmResp. Lines 2–4 run it with from = 0; a prefix-adopted selection
 // runs it from the first level it did not adopt.
-func (sc *Scratch) responseTimes(sec []task.SecurityTask, periods []task.Time, mode CarryInMode, resp []task.Time, from int) {
+func (sc *Scratch) responseTimes(sec []task.SecurityTask, periods, resp []task.Time, from int) {
 	hp := sc.hp[:0]
 	for k := 0; k < from; k++ {
 		hp = append(hp, Interferer{WCET: sec[k].WCET, Period: periods[k], Resp: resp[k]})
 	}
 	for i := from; i < len(sec); i++ {
 		s := sec[i]
-		r, ok := sc.MigratingWCRT(s.WCET, hp, s.MaxPeriod, mode)
+		r, ok := sc.MigratingWCRT(s.WCET, hp, s.MaxPeriod)
 		sc.rtAt[i] = -1
-		if ok && mode != Exhaustive && sc.lastY == r {
+		if ok && sc.lastY == r {
 			sc.rtAt[i], sc.ncAt[i], sc.ckAt[i] = sc.lastRT, sc.lastNC, sc.lastCK
 		}
 		if !ok {

@@ -91,14 +91,14 @@ func TestStaircaseKernelMatchesNaiveCreep(t *testing.T) {
 		limit := cs + rng.Int63n(3000)
 		wantR, wantOK := naiveMigratingWCRT(sys, cs, hp, limit)
 		sc := NewScratch(sys)
-		gotR, gotOK := sc.MigratingWCRT(cs, hp, limit, Dominance)
+		gotR, gotOK := sc.MigratingWCRT(cs, hp, limit)
 		if gotR != wantR || gotOK != wantOK {
 			t.Fatalf("trial %d (M=%d, %d hp, cs=%d, limit=%d): kernel (%d,%v) != naive creep (%d,%v)",
 				trial, sys.M, len(hp), cs, limit, gotR, gotOK, wantR, wantOK)
 		}
 		// A scratch is reusable: the second run from warm buffers (and
 		// warm period windows) must agree with the first.
-		againR, againOK := sc.MigratingWCRT(cs, hp, limit, Dominance)
+		againR, againOK := sc.MigratingWCRT(cs, hp, limit)
 		if againR != gotR || againOK != gotOK {
 			t.Fatalf("trial %d: warm rerun (%d,%v) != first run (%d,%v)", trial, againR, againOK, gotR, gotOK)
 		}
@@ -175,7 +175,7 @@ func TestStaircaseKernelKeepsBudgetVerdict(t *testing.T) {
 	if wantOK {
 		t.Fatal("construction broken: the naive creep was expected to exhaust its budget")
 	}
-	gotR, gotOK := NewScratch(sys).MigratingWCRT(cs, nil, limit, Dominance)
+	gotR, gotOK := NewScratch(sys).MigratingWCRT(cs, nil, limit)
 	if gotR != wantR || gotOK != wantOK {
 		t.Fatalf("budget verdict drifted: kernel (%d,%v) != naive creep (%d,%v)", gotR, gotOK, wantR, wantOK)
 	}
@@ -192,7 +192,7 @@ func TestMigratingWCRTAllocFree(t *testing.T) {
 	sc := NewScratch(sys)
 	limit := cs + 5000
 	if avg := testing.AllocsPerRun(200, func() {
-		sc.MigratingWCRT(cs, hp, limit, Dominance)
+		sc.MigratingWCRT(cs, hp, limit)
 	}); avg != 0 {
 		t.Fatalf("MigratingWCRT allocates %.1f objects per steady-state call; want 0", avg)
 	}
@@ -219,9 +219,9 @@ func TestLowerPrioritySchedulableAllocFree(t *testing.T) {
 	sc.ensure(len(sec))
 	periods := []task.Time{300, 400, 500}
 	resp := make([]task.Time, len(sec))
-	sc.responseTimes(sec, periods, Dominance, resp, 0)
+	sc.responseTimes(sec, periods, resp, 0)
 	if avg := testing.AllocsPerRun(200, func() {
-		lowerPrioritySchedulable(sc, sec, periods, resp, 0, 120, Dominance)
+		lowerPrioritySchedulable(sc, sec, periods, resp, 0, 120)
 	}); avg != 0 {
 		t.Fatalf("lowerPrioritySchedulable allocates %.1f objects per probe; want 0", avg)
 	}
@@ -253,7 +253,7 @@ func TestOrderStatisticsWarmPathAllocFree(t *testing.T) {
 	sc.ensure(len(sec))
 	periods := []task.Time{300, 400, 500, 600}
 	resp := make([]task.Time, len(sec))
-	sc.responseTimes(sec, periods, Dominance, resp, 0)
+	sc.responseTimes(sec, periods, resp, 0)
 	hp := make([]Interferer, 0, 3)
 	for i := 0; i < 3; i++ {
 		hp = append(hp, Interferer{WCET: sec[i].WCET, Period: periods[i], Resp: resp[i]})
@@ -278,7 +278,7 @@ func TestScratchReuseAcrossSystems(t *testing.T) {
 		sys, hp, cs := randKernelCase(rng)
 		limit := cs + rng.Int63n(2000)
 		sc.Reset(sys)
-		gotR, gotOK := sc.MigratingWCRT(cs, hp, limit, Dominance)
+		gotR, gotOK := sc.MigratingWCRT(cs, hp, limit)
 		wantR, wantOK := naiveMigratingWCRT(sys, cs, hp, limit)
 		if gotR != wantR || gotOK != wantOK {
 			t.Fatalf("trial %d: reused scratch (%d,%v) != naive (%d,%v)", trial, gotR, gotOK, wantR, wantOK)

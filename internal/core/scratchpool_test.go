@@ -17,9 +17,9 @@ func TestScratchPoolReuseBitIdentical(t *testing.T) {
 	for trial := 0; trial < 500; trial++ {
 		sys, hp, cs := randKernelCase(rng)
 		limit := cs + rng.Int63n(2000)
-		wantR, wantOK := NewScratch(sys).MigratingWCRT(cs, hp, limit, Dominance)
+		wantR, wantOK := NewScratch(sys).MigratingWCRT(cs, hp, limit)
 		sc := pool.Get(sys)
-		gotR, gotOK := sc.MigratingWCRT(cs, hp, limit, Dominance)
+		gotR, gotOK := sc.MigratingWCRT(cs, hp, limit)
 		pool.Put(sc)
 		if gotR != wantR || gotOK != wantOK {
 			t.Fatalf("trial %d: pooled scratch (%d,%v) != fresh scratch (%d,%v)",
@@ -58,7 +58,7 @@ func TestScratchPoolConcurrent(t *testing.T) {
 				sys, hp, cs := randKernelCase(rng)
 				limit := cs + rng.Int63n(1500)
 				sc := pool.Get(sys)
-				gotR, gotOK := sc.MigratingWCRT(cs, hp, limit, Dominance)
+				gotR, gotOK := sc.MigratingWCRT(cs, hp, limit)
 				pool.Put(sc)
 				wantR, wantOK := naiveMigratingWCRT(sys, cs, hp, limit)
 				if gotR != wantR || gotOK != wantOK {
@@ -93,7 +93,7 @@ func TestSelectPeriodsWithPooledScratch(t *testing.T) {
 	pool := NewScratchPool()
 	for trial := 0; trial < 10; trial++ {
 		sc := pool.Get(nil)
-		got, err := SelectPeriodsCtxWith(t.Context(), ts, Options{}, sc)
+		got, err := SelectPeriodsCtxWith(t.Context(), ts, sc)
 		pool.Put(sc)
 		if err != nil {
 			t.Fatal(err)

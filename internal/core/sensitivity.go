@@ -18,8 +18,8 @@ import (
 // unchanged, periods re-optimised — while the whole security band
 // remains schedulable within its Tmax bounds. A task in an already
 // unschedulable set reports 0.
-func WCETSensitivity(ts *task.Set, opt Options) ([]task.Time, error) {
-	base, err := SelectPeriods(ts, opt)
+func WCETSensitivity(ts *task.Set) ([]task.Time, error) {
+	base, err := SelectPeriods(ts, Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -34,7 +34,7 @@ func WCETSensitivity(ts *task.Set, opt Options) ([]task.Time, error) {
 			mid := (lo + hi) / 2
 			probe := ts.Clone()
 			probe.Security[i].WCET = mid
-			res, err := SelectPeriods(probe, opt)
+			res, err := SelectPeriods(probe, Options{})
 			if err != nil {
 				return nil, err
 			}
@@ -56,7 +56,7 @@ func WCETSensitivity(ts *task.Set, opt Options) ([]task.Time, error) {
 // unschedulable as given (how much the monitors would need to shrink),
 // and 0 when even vanishing monitors do not fit (the RT band itself is
 // infeasible for the bounds).
-func ScaleSensitivity(ts *task.Set, opt Options) (float64, error) {
+func ScaleSensitivity(ts *task.Set) (float64, error) {
 	if len(ts.Security) == 0 {
 		return 0, fmt.Errorf("core: no security tasks to scale")
 	}
@@ -73,7 +73,7 @@ func ScaleSensitivity(ts *task.Set, opt Options) (float64, error) {
 			}
 			probe.Security[i].WCET = w
 		}
-		res, err := SelectPeriods(probe, opt)
+		res, err := SelectPeriods(probe, Options{})
 		if err != nil {
 			return false, err
 		}

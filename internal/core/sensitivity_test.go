@@ -8,7 +8,7 @@ import (
 
 func TestWCETSensitivityRover(t *testing.T) {
 	ts := roverLikeSet()
-	maxW, err := WCETSensitivity(ts, Options{})
+	maxW, err := WCETSensitivity(ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestWCETSensitivityUnschedulableSet(t *testing.T) {
 	for i := range ts.Security {
 		ts.Security[i].MaxPeriod = 5400
 	}
-	maxW, err := WCETSensitivity(ts, Options{})
+	maxW, err := WCETSensitivity(ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestWCETSensitivityUnschedulableSet(t *testing.T) {
 
 func TestScaleSensitivityRover(t *testing.T) {
 	ts := roverLikeSet()
-	k, err := ScaleSensitivity(ts, Options{})
+	k, err := ScaleSensitivity(ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestScaleSensitivityOverloaded(t *testing.T) {
 	for i := range ts.Security {
 		ts.Security[i].WCET = ts.Security[i].MaxPeriod - 1
 	}
-	k, err := ScaleSensitivity(ts, Options{})
+	k, err := ScaleSensitivity(ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestScaleSensitivityOverloaded(t *testing.T) {
 func TestScaleSensitivityNoSecurity(t *testing.T) {
 	ts := roverLikeSet()
 	ts.Security = nil
-	if _, err := ScaleSensitivity(ts, Options{}); err == nil {
+	if _, err := ScaleSensitivity(ts); err == nil {
 		t.Fatal("empty security band accepted")
 	}
 }

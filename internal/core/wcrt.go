@@ -27,24 +27,6 @@ func NewSystem(ts *task.Set) *System {
 	return sys
 }
 
-// CarryInMode selects how the analysis maximises over carry-in sets
-// (Eq. 8).
-type CarryInMode int
-
-const (
-	// Dominance picks, at every window length x, the at-most-(M−1)
-	// higher-priority tasks with the largest carry-in/non-carry-in
-	// interference difference. This upper-bounds every explicit
-	// partition in Z(τs) and is the production path (Guan et al.'s
-	// technique).
-	Dominance CarryInMode = iota
-	// Exhaustive enumerates every partition of hpS(τs) into carry-in
-	// and non-carry-in subsets with |CI| ≤ M−1 and takes the maximum
-	// fixed point (literal Eq. 8). Exponential; used in tests to
-	// validate Dominance.
-	Exhaustive
-)
-
 // MaxFixpointIterations bounds the Eq. 7 iteration. Near the clamp
 // boundary (every core's interference bound x − Cs + 1 binding at
 // once) the naive recurrence can creep upward one tick per step, so
@@ -64,8 +46,8 @@ const MaxFixpointIterations = 1 << 22
 
 // fixedPoint runs Eq. 7 with the supplied total-interference function,
 // one refinement at a time. It is the reference creep the staircase
-// kernel is property-tested against, and the engine of the Exhaustive
-// mode.
+// kernel is property-tested against, and the engine of
+// migratingWCRTExhaustive.
 func (sys *System) fixedPoint(cs, limit task.Time, omega func(task.Time) task.Time) (task.Time, bool) {
 	x := cs
 	for iter := 0; iter < MaxFixpointIterations; iter++ {
@@ -115,7 +97,9 @@ func (sys *System) omegaDominance(x, cs task.Time, hp []Interferer) task.Time {
 // migratingWCRTExhaustive is the literal Eq. 8: the maximum over all
 // partitions of hp into (Γ^NC, Γ^CI) with |Γ^CI| ≤ M−1 of the fixed
 // point for that partition. If any partition diverges past limit the
-// task is unschedulable.
+// task is unschedulable. Its cost is exponential in C(n, ≤M−1), and
+// tests are its only caller: they check that MigratingWCRT's dominance
+// bound never lies below it.
 func (sys *System) migratingWCRTExhaustive(cs task.Time, hp []Interferer, limit task.Time) (task.Time, bool) {
 	var best task.Time
 	n := len(hp)
@@ -176,11 +160,11 @@ func (sys *System) migratingWCRTExhaustive(cs task.Time, hp []Interferer, limit 
 // the task's own period bound (min(periods[i], limit rule): a security
 // task with implicit deadline must finish within its period, and is
 // hopeless past Tmax).
-func (sys *System) ResponseTimes(sec []task.SecurityTask, periods []task.Time, mode CarryInMode) []task.Time {
+func (sys *System) ResponseTimes(sec []task.SecurityTask, periods []task.Time) []task.Time {
 	sc := DefaultScratchPool.Get(sys)
 	defer DefaultScratchPool.Put(sc)
 	sc.ensure(len(sec))
 	resp := make([]task.Time, len(sec))
-	sc.responseTimes(sec, periods, mode, resp, 0)
+	sc.responseTimes(sec, periods, resp, 0)
 	return resp
 }

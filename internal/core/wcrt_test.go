@@ -10,7 +10,7 @@ import (
 
 func TestMigratingWCRTIdleSystem(t *testing.T) {
 	sys := &System{M: 2, RTCores: make([][]Demand, 2)}
-	r, ok := NewScratch(sys).MigratingWCRT(7, nil, 100, Dominance)
+	r, ok := NewScratch(sys).MigratingWCRT(7, nil, 100)
 	if !ok || r != 7 {
 		t.Fatalf("idle system: got (%d, %v), want (7, true)", r, ok)
 	}
@@ -18,7 +18,7 @@ func TestMigratingWCRTIdleSystem(t *testing.T) {
 
 func TestMigratingWCRTWCETBeyondLimit(t *testing.T) {
 	sys := &System{M: 2}
-	if _, ok := NewScratch(sys).MigratingWCRT(11, nil, 10, Dominance); ok {
+	if _, ok := NewScratch(sys).MigratingWCRT(11, nil, 10); ok {
 		t.Fatal("WCET beyond Tmax accepted")
 	}
 }
@@ -48,7 +48,7 @@ func TestMigratingWCRTReducesToUniprocessor(t *testing.T) {
 		cs := 1 + task.Time(rng.Intn(10))
 		limit := task.Time(100000)
 		sys := &System{M: 1, RTCores: [][]Demand{demands}}
-		got, okGot := NewScratch(sys).MigratingWCRT(cs, nil, limit, Dominance)
+		got, okGot := NewScratch(sys).MigratingWCRT(cs, nil, limit)
 		want, okWant := rta.ResponseTime(cs, hpRTA, limit)
 		if okGot != okWant || (okGot && got != want) {
 			t.Fatalf("trial %d: semi-partitioned M=1 gave (%d,%v), uniprocessor RTA gave (%d,%v)\ndemands=%+v cs=%d",
@@ -69,7 +69,7 @@ func TestMigratingWCRTTwoCoreExample(t *testing.T) {
 		{{WCET: 2, Period: 4}},
 		{{WCET: 3, Period: 6}},
 	}}
-	r, ok := NewScratch(sys).MigratingWCRT(4, nil, 100, Dominance)
+	r, ok := NewScratch(sys).MigratingWCRT(4, nil, 100)
 	if !ok || r != 8 {
 		t.Fatalf("got (%d, %v), want (8, true)", r, ok)
 	}
@@ -113,7 +113,7 @@ func TestMigratingBeatsPinnedWorstCore(t *testing.T) {
 		if !feasibleEverywhere {
 			continue
 		}
-		got, ok := NewScratch(sys).MigratingWCRT(cs, nil, limit, Dominance)
+		got, ok := NewScratch(sys).MigratingWCRT(cs, nil, limit)
 		if !ok {
 			t.Fatalf("trial %d: migrating task diverged where every pinned core converges", trial)
 		}
@@ -123,8 +123,9 @@ func TestMigratingBeatsPinnedWorstCore(t *testing.T) {
 	}
 }
 
-// Dominance must upper-bound the literal Eq. 8 enumeration — never
-// report a smaller response time or accept where Exhaustive rejects.
+// MigratingWCRT's dominance bound must upper-bound the literal Eq. 8
+// enumeration — never report a smaller response time or accept where
+// the enumeration rejects.
 func TestDominanceUpperBoundsExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 200; trial++ {
@@ -148,8 +149,8 @@ func TestDominanceUpperBoundsExhaustive(t *testing.T) {
 		cs := 1 + task.Time(rng.Intn(15))
 		limit := task.Time(2000)
 
-		rd, okd := NewScratch(sys).MigratingWCRT(cs, hp, limit, Dominance)
-		re, oke := NewScratch(sys).MigratingWCRT(cs, hp, limit, Exhaustive)
+		rd, okd := NewScratch(sys).MigratingWCRT(cs, hp, limit)
+		re, oke := sys.migratingWCRTExhaustive(cs, hp, limit)
 		switch {
 		case !okd && !oke:
 			// both diverge: fine
@@ -178,8 +179,8 @@ func TestDominanceExactForOneInterferer(t *testing.T) {
 		hp := []Interferer{{WCET: c, Period: p, Resp: r}}
 		cs := 1 + task.Time(rng.Intn(10))
 		limit := task.Time(5000)
-		rd, okd := NewScratch(sys).MigratingWCRT(cs, hp, limit, Dominance)
-		re, oke := NewScratch(sys).MigratingWCRT(cs, hp, limit, Exhaustive)
+		rd, okd := NewScratch(sys).MigratingWCRT(cs, hp, limit)
+		re, oke := sys.migratingWCRTExhaustive(cs, hp, limit)
 		if okd != oke || (okd && rd != re) {
 			t.Fatalf("trial %d: dominance (%d,%v) != exhaustive (%d,%v)", trial, rd, okd, re, oke)
 		}
@@ -196,7 +197,7 @@ func TestResponseTimesTopDown(t *testing.T) {
 		{Name: "hi", WCET: 10, MaxPeriod: 100, Priority: 0},
 		{Name: "lo", WCET: 20, MaxPeriod: 300, Priority: 1},
 	}
-	resp := sys.ResponseTimes(sec, []task.Time{100, 300}, Dominance)
+	resp := sys.ResponseTimes(sec, []task.Time{100, 300})
 	if resp[0] != 10 {
 		t.Errorf("R(hi) = %d, want 10", resp[0])
 	}
@@ -206,7 +207,7 @@ func TestResponseTimesTopDown(t *testing.T) {
 
 	// On one core they serialise instead.
 	sys1 := &System{M: 1, RTCores: make([][]Demand, 1)}
-	resp1 := sys1.ResponseTimes(sec, []task.Time{100, 300}, Dominance)
+	resp1 := sys1.ResponseTimes(sec, []task.Time{100, 300})
 	if resp1[0] != 10 {
 		t.Errorf("M=1 R(hi) = %d, want 10", resp1[0])
 	}

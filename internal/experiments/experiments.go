@@ -30,9 +30,6 @@ type SweepConfig struct {
 	// are a pure function of this configuration — independent of
 	// Parallel and of execution order.
 	Seed int64
-	// CarryIn selects the Eq. 8 strategy for HYDRA-C (ablations flip
-	// this to core.Exhaustive).
-	CarryIn core.CarryInMode
 	// Parallel is the sweep worker count: 0 uses GOMAXPROCS, 1 forces
 	// serial execution. Results are identical at any value (see
 	// DESIGN.md for the determinism contract).
@@ -105,7 +102,7 @@ func Fig6(cfg SweepConfig) (*Fig6Result, error) {
 				return nil // no partitionable draw: skipped, as in the paper
 			}
 			grp.Generated++
-			res, err := core.SelectPeriods(ts, core.Options{CarryIn: cfg.CarryIn})
+			res, err := core.SelectPeriods(ts, core.Options{})
 			if err != nil {
 				return err
 			}
@@ -194,7 +191,7 @@ func Fig7a(cfg SweepConfig) (*Fig7aResult, error) {
 				}
 				return nil
 			}
-			cres, err := core.SelectPeriods(ts, core.Options{CarryIn: cfg.CarryIn})
+			cres, err := core.SelectPeriods(ts, core.Options{})
 			if err != nil {
 				return err
 			}
@@ -293,7 +290,7 @@ func Fig7b(cfg SweepConfig) (*Fig7bResult, error) {
 			if err != nil {
 				return nil
 			}
-			cres, err := core.SelectPeriods(ts, core.Options{CarryIn: cfg.CarryIn})
+			cres, err := core.SelectPeriods(ts, core.Options{})
 			if err != nil {
 				return err
 			}

@@ -125,7 +125,7 @@ func (a *Analyzer) NewSessionWith(ctx context.Context, base *TaskSet, cfg Sessio
 		return nil, nil, err
 	}
 	s := &Session{a: a, scratch: core.NewScratch(nil), nextFit: cfg.NextFitCursor}
-	res, err := core.SelectPeriodsCtxWith(ctx, cp, a.opts, s.scratch)
+	res, err := core.SelectPeriodsCtxWith(ctx, cp, s.scratch)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -224,7 +224,7 @@ func (s *Session) apply(ctx context.Context, d Delta) (*TaskSet, *core.Result, c
 	if rtUnchanged {
 		hints.Prior = s.prior
 	}
-	res, stats, err := core.SelectPeriodsResumableWith(ctx, cand, s.a.opts, hints, s.scratch)
+	res, stats, err := core.SelectPeriodsResumableWith(ctx, cand, hints, s.scratch)
 	if err != nil {
 		return nil, nil, stats, false, err
 	}

@@ -134,10 +134,11 @@ func TestPooledScratchStress(t *testing.T) {
 // report-shaping level (clones, report slices) with no per-analysis
 // kernel workspace. The bound is ~2x the measured steady state at the
 // time of writing, so a reintroduced per-analysis NewScratch (~10
-// buffer allocations each, growing with set size) trips it.
+// buffer allocations each, growing with set size) trips it. The count
+// is a single worker's: AllocsPerRun runs at GOMAXPROCS 1.
 func TestAnalyzeBatchSteadyStateAllocs(t *testing.T) {
 	sets := throughputSets(t, 4)
-	a, err := hydrac.New(hydrac.WithBatchWorkers(1))
+	a, err := hydrac.New()
 	if err != nil {
 		t.Fatal(err)
 	}
